@@ -12,14 +12,16 @@ shapes share:
   insert and ``O(1)`` per delete/lookup with no recompute;
 * the **cyclic-successor remap** under bin churn (consistent hashing's
   clockwise hand-off on the ring) and the merged region measures the
-  ``smaller``/``larger`` tie-breaks read;
+  ``smaller``/``larger`` tie-breaks read, updated in O(gap) per bin
+  leave/join (only the churned bin's arc and its owner change);
 * :meth:`apply_window` — the churn-free mixed insert/delete window
   application the batched dynamic engine runs, dispatching between a
   compiled kernel (``dynamic_window``), the mixed-event
   conflict-free-prefix numpy path, and a scalar fast path for windows
   below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`;
-* NPZ :meth:`save` / :meth:`load` snapshots, so a long-lived server
-  can checkpoint and resume mid-stream.
+* crash-safe NPZ :meth:`save` / :meth:`load` snapshots, so a
+  long-lived server can checkpoint and resume mid-stream; every load
+  runs :meth:`check` on the restored invariants.
 
 Decision semantics are *identical* to the batch engines by
 construction: the scalar path **is** the sequential reference
@@ -40,6 +42,8 @@ draws internally, from ``aux_rng``, mirroring the dynamic engines.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -69,6 +73,11 @@ KIND_DELETE = 1
 
 #: Snapshot format version written by :meth:`IncrementalState.save`.
 _SNAPSHOT_FORMAT = 1
+
+
+def _checks_enabled() -> bool:
+    """``REPRO_CHECK=1``: run :meth:`IncrementalState.check` after churn."""
+    return os.environ.get("REPRO_CHECK", "").strip() == "1"
 
 
 def mixed_conflict_prefix(touched: np.ndarray, is_insert: np.ndarray) -> int:
@@ -151,6 +160,7 @@ class IncrementalState:
         self.base_measures = space.region_measures() if self.needs_measures else None
         self.measures = self.base_measures
         self.remap: np.ndarray | None = None  # None == identity (no churn yet)
+        self._inactive = 0  # count of inactive bins; remap is None iff 0
         self.inserts_done = 0
         self.deletes_done = 0
 
@@ -215,18 +225,108 @@ class IncrementalState:
     # churn (scalar by nature: rare, topology-changing)
     # ------------------------------------------------------------------
     def bin_leave(self, slot: int) -> None:
-        """Deactivate bin ``slot``, re-placing its displaced balls."""
+        """Deactivate bin ``slot``, re-placing its displaced balls.
+
+        The departed arc passes to the clockwise successor ``t``: only
+        the cyclic gap that maps to ``slot`` is pointed at ``t`` and only
+        ``t``'s merged measure is re-summed, so the topology update costs
+        O(gap), not O(n).  Leaving an inactive bin is a no-op; the last
+        active bin cannot leave.
+        """
+        slot = self._check_slot(slot)
+        if not self.active[slot]:
+            return
+        if self._inactive == self.n - 1:
+            raise ValueError("the last active bin cannot leave")
+        if self.remap is None:
+            self.remap = np.arange(self.n, dtype=np.int64)
+            if self.needs_measures:
+                # bincount over the identity remap adds each measure to 0.0
+                self.measures = np.array(self.base_measures, dtype=np.float64)
+        start = self._gap_start(slot)
+        succ = int(self.remap[(slot + 1) % self.n])
         self.active[slot] = False
-        self._recompute_topology()
+        self._inactive += 1
+        self._point_arc(start, slot, succ)
+        if self.needs_measures:
+            self.measures[slot] = 0.0
+            self.measures[succ] = self._arc_measure(start, succ)
         displaced = np.nonzero(self.ball_bin == slot)[0]
         self.loads[slot] = 0
         for ball in displaced:
             self._replace_ball(int(ball))
+        if _checks_enabled():
+            self.check()
 
     def bin_join(self, slot: int) -> None:
-        """Reactivate bin ``slot`` (empty: no eager rebalancing on joins)."""
+        """Reactivate bin ``slot`` (empty: no eager rebalancing on joins).
+
+        ``slot`` takes back the part of its owner's gap that ends at
+        ``slot``: O(gap).  Joining an active bin is a no-op.
+        """
+        slot = self._check_slot(slot)
+        if self.active[slot]:
+            return
+        start = self._gap_start(slot)
+        owner = int(self.remap[slot])
         self.active[slot] = True
-        self._recompute_topology()
+        self._inactive -= 1
+        if self._inactive == 0:
+            self.remap = None
+            self.measures = self.base_measures
+        else:
+            self._point_arc(start, slot, slot)
+            if self.needs_measures:
+                self.measures[slot] = self._arc_measure(start, slot)
+                self.measures[owner] = self._arc_measure((slot + 1) % self.n, owner)
+        if _checks_enabled():
+            self.check()
+
+    def _check_slot(self, slot: int) -> int:
+        slot = int(slot)
+        if not 0 <= slot < self.n:
+            raise ValueError(f"bin slot {slot} outside [0, {self.n})")
+        return slot
+
+    def _gap_start(self, slot: int) -> int:
+        """First index of the cyclic run of inactive bins just before ``slot``.
+
+        Equals ``slot`` when its predecessor is active.  Scans backwards
+        in doubling windows, so the cost is O(gap); another active bin
+        must exist.
+        """
+        n = self.n
+        if self.active[slot - 1]:
+            return slot
+        hi, width = slot - 1, 8
+        while True:
+            lo = max(hi - width, slot - n + 1)
+            hits = np.flatnonzero(self.active[np.arange(lo, hi) % n])
+            if hits.size:
+                return (lo + int(hits[-1]) + 1) % n
+            hi, width = lo, 2 * width
+
+    def _point_arc(self, start: int, stop: int, owner: int) -> None:
+        """Remap the cyclic index range ``[start, stop]`` to ``owner``."""
+        if start <= stop:
+            self.remap[start : stop + 1] = owner
+        else:
+            self.remap[start:] = owner
+            self.remap[: stop + 1] = owner
+
+    def _arc_measure(self, start: int, stop: int) -> float:
+        """Merged measure of the cyclic range ``[start, stop]``.
+
+        Summed from 0.0 sequentially in ascending index order — the
+        order ``np.bincount(weights=)`` adds in, so the result is bit
+        for bit the full rebuild's (pairwise ``np.sum`` is not).
+        """
+        base = self.base_measures
+        if start <= stop:
+            parts = (base[start : stop + 1],)
+        else:
+            parts = (base[: stop + 1], base[start:])
+        return float(np.cumsum(np.concatenate(((0.0,), *parts)))[-1])
 
     def _replace_ball(self, ball: int) -> None:
         if self.aux_rng is None:
@@ -248,23 +348,74 @@ class IncrementalState:
         self.loads[chosen] += 1
         self.ball_bin[ball] = chosen
 
-    def _recompute_topology(self) -> None:
-        """Rebuild the cyclic-successor remap and merged measures."""
+    def _recompute_topology(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The cyclic-successor remap and merged measures, rebuilt in O(n).
+
+        Pure: returns ``(remap, measures)`` from :attr:`active` without
+        touching the state.  :meth:`load` installs it once; :meth:`check`
+        compares the incrementally maintained pair against it.
+        """
         if self.active.all():
-            self.remap = None
-            self.measures = self.base_measures
-            return
+            return None, self.base_measures
         n = self.n
         sentinel = 2 * n
         cand = np.where(self.active, np.arange(n, dtype=np.int64), sentinel)
         # next active index at or after j, wrapping to the first active
         succ = np.minimum.accumulate(cand[::-1])[::-1]
         first = int(np.argmax(self.active))
-        self.remap = np.where(succ >= sentinel, first, succ).astype(np.int64)
-        if self.base_measures is not None:
-            self.measures = np.bincount(
-                self.remap, weights=self.base_measures, minlength=n
+        remap = np.where(succ >= sentinel, first, succ).astype(np.int64)
+        measures = self.base_measures
+        if measures is not None:
+            measures = np.bincount(remap, weights=measures, minlength=n)
+        return remap, measures
+
+    def check(self) -> None:
+        """Verify the state's invariants; raise ``ValueError`` naming the broken one.
+
+        Loads equal the bincount of the ball→bin index, inactive bins
+        hold no balls, the insert/delete counters match the placed
+        total, and the remap/measures equal the full O(n) rebuild.
+        Cost O(n + capacity): :meth:`load` always runs it; churn runs it
+        after every :meth:`bin_leave` / :meth:`bin_join` under
+        ``REPRO_CHECK=1``.
+        """
+        n = self.n
+        if not self._shapes_ok():
+            raise ValueError(
+                f"loads/active must be ({n},) int64/bool arrays, got "
+                f"{self.loads.shape} {self.loads.dtype} / "
+                f"{self.active.shape} {self.active.dtype}"
             )
+        placed = self.ball_bin[self.ball_bin >= 0]
+        if placed.size and int(placed.max()) >= n:
+            raise ValueError(f"ball_bin holds a bin outside [0, {n})")
+        if not np.array_equal(self.loads, np.bincount(placed, minlength=n)):
+            raise ValueError("loads != bincount(ball_bin): the ball index disagrees")
+        if self.loads[~self.active].any():
+            raise ValueError("an inactive bin holds balls")
+        if self.inserts_done - self.deletes_done != int(self.loads.sum()):
+            raise ValueError(
+                f"inserts_done - deletes_done = "
+                f"{self.inserts_done - self.deletes_done} but loads sum to "
+                f"{int(self.loads.sum())}"
+            )
+        if self._inactive != n - int(np.count_nonzero(self.active)):
+            raise ValueError("the inactive-bin counter disagrees with the active mask")
+        if not self.active.any():
+            raise ValueError("no active bin")
+        remap, measures = self._recompute_topology()
+        if (remap is None) != (self.remap is None) or (
+            remap is not None and not np.array_equal(remap, self.remap)
+        ):
+            raise ValueError("remap != full rebuild of the cyclic-successor map")
+        if measures is not None and not np.array_equal(measures, self.measures):
+            raise ValueError("merged measures != full rebuild")
+
+    def _shapes_ok(self) -> bool:
+        return (
+            self.loads.shape == (self.n,) and self.loads.dtype == np.int64
+            and self.active.shape == (self.n,) and self.active.dtype == bool
+        )
 
     # ------------------------------------------------------------------
     # batched window application (the batched engines' inner loop)
@@ -405,6 +556,10 @@ class IncrementalState:
     def save(self, path, *, extra_arrays=None, extra_meta=None) -> None:
         """Checkpoint the live state to an NPZ file.
 
+        Writing to a path is crash-safe: the archive goes to a sibling
+        temp file, is fsynced, then ``os.replace``-d onto ``path``
+        (``.npz`` is appended to a path lacking it, as
+        :func:`numpy.savez` does).  A file object is written in place.
         The live arrays (loads, ball→bin index, active mask, ring
         positions) are written directly — no intermediate serialization
         — together with a JSON metadata record (dimensions, strategy,
@@ -444,7 +599,31 @@ class IncrementalState:
                 if name.startswith("core_"):
                     raise ValueError(f"extra array name {name!r} is reserved")
                 arrays[name] = arr
-        np.savez(path, **arrays)
+        if hasattr(path, "write"):
+            np.savez(path, **arrays)
+            return
+        # crash-safe: a sibling temp file is synced, then renamed over the
+        # target, so a failed write never destroys the last good checkpoint
+        target = os.fspath(path)
+        if not target.endswith(".npz"):  # numpy's naming rule
+            target += ".npz"
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(target) or ".",
+            prefix=f".{os.path.basename(target)}.",
+            suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     @classmethod
     def load(cls, path, *, space: GeometricSpace | None = None):
@@ -485,12 +664,15 @@ class IncrementalState:
             state.loads = payload["core_loads"].copy()
             state.ball_bin = payload["core_ball_bin"].copy()
             state.active = payload["core_active"].copy()
+            state._inactive = state.n - int(np.count_nonzero(state.active))
             state.inserts_done = meta["inserts_done"]
             state.deletes_done = meta["deletes_done"]
             if meta["aux_rng_state"] is not None:
                 state.aux_rng = np.random.default_rng(0)
                 state.aux_rng.bit_generator.state = meta["aux_rng_state"]
-            state._recompute_topology()
+            if state._shapes_ok():  # else check() names the bad arrays
+                state.remap, state.measures = state._recompute_topology()
+            state.check()
             extra_arrays = {
                 name: payload[name].copy()
                 for name in payload.files

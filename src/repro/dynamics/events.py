@@ -195,7 +195,11 @@ class EventTrace:
         object.__setattr__(self, "_counts", counts)
 
     def _validate_replay(self) -> tuple[int, int, int]:
-        """Replay the trace symbolically; return (inserts, deletes, churn)."""
+        """Check the trace replays; return (inserts, deletes, churn).
+
+        Raises ``ValueError`` describing the first event, in trace
+        order, that a sequential replay would reject.
+        """
         e = int(self.kinds.size)
         ends = self.epoch_ends
         if e == 0:
@@ -216,42 +220,68 @@ class EventTrace:
             raise ValueError("traces with bin churn must set n_slots")
         if self.n_slots is not None:
             check_positive_int(self.n_slots, "n_slots")
-        next_ball = 0
-        live: set[int] = set()
-        inactive: set[int] = set()
-        active_count = self.n_slots if self.n_slots is not None else 1
-        for kind, arg in zip(self.kinds.tolist(), self.args.tolist()):
-            if kind == EventKind.INSERT:
-                if arg != next_ball:
-                    raise ValueError(
-                        f"insert ids must be consecutive: expected {next_ball}, "
-                        f"got {arg}"
-                    )
-                live.add(arg)
-                next_ball += 1
-            elif kind == EventKind.DELETE:
-                if arg not in live:
-                    raise ValueError(f"delete of ball {arg} that is not live")
-                live.discard(arg)
-            elif kind == EventKind.BIN_LEAVE:
-                if not 0 <= arg < self.n_slots:
-                    raise ValueError(f"bin slot {arg} outside [0, {self.n_slots})")
-                if arg in inactive:
-                    raise ValueError(f"bin {arg} leaves but is already inactive")
-                if active_count <= 1:
-                    raise ValueError("the last active bin cannot leave")
-                inactive.add(arg)
-                active_count -= 1
-            else:  # BIN_JOIN
-                if not 0 <= arg < self.n_slots:
-                    raise ValueError(f"bin slot {arg} outside [0, {self.n_slots})")
-                if arg not in inactive:
-                    raise ValueError(f"bin {arg} joins but is already active")
-                inactive.discard(arg)
-                active_count += 1
-        inserts = next_ball
-        deletes = inserts - len(live)
-        return inserts, deletes, churn
+        kinds, args = self.kinds, self.args
+        # Whole-array checks.  Each event is judged against the state the
+        # events before it produce *if they are valid*; that is the true
+        # state up to the first offending event, so the smallest flagged
+        # position is the one a sequential replay would reject.
+        is_insert = kinds == EventKind.INSERT
+        inserts_before = np.cumsum(is_insert) - is_insert
+        inserts = int(inserts_before[-1] + is_insert[-1]) if e else 0
+        bad = is_insert & (args != inserts_before)
+        is_delete = kinds == EventKind.DELETE
+        bad |= is_delete & ((args < 0) | (args >= inserts_before))
+        delete_at = np.flatnonzero(is_delete)
+        targets = args[delete_at]
+        placed = targets[(targets >= 0) & (targets < inserts)]
+        if placed.size and int(np.bincount(placed).max()) > 1:
+            order = np.argsort(targets, kind="stable")
+            ranked = targets[order]
+            bad[delete_at[order[1:][ranked[1:] == ranked[:-1]]]] = True
+        if churn:
+            n = self.n_slots
+            churn_at = np.flatnonzero(kinds >= EventKind.BIN_LEAVE)
+            slots = args[churn_at]
+            is_leave = kinds == EventKind.BIN_LEAVE
+            bad[churn_at[(slots < 0) | (slots >= n)]] = True
+            # per slot, churn must alternate leave, join, leave, ... in
+            # trace order: a stable sort by slot keeps position order
+            order = np.argsort(slots, kind="stable")
+            ranked = slots[order]
+            step = np.arange(ranked.size)
+            first_of_slot = np.maximum.accumulate(
+                np.where(np.r_[True, ranked[1:] != ranked[:-1]], step, 0)
+            )
+            expect_leave = (step - first_of_slot) % 2 == 0
+            misordered = order[is_leave[churn_at[order]] != expect_leave]
+            bad[churn_at[misordered]] = True
+            delta = is_leave.astype(np.int64) - (kinds == EventKind.BIN_JOIN)
+            bad |= is_leave & (n - np.cumsum(delta) < 1)
+        if bad.any():
+            first = int(np.argmax(bad))
+            self._raise_first(first, int(inserts_before[first]))
+        return inserts, int(delete_at.size), churn
+
+    def _raise_first(self, i: int, inserts_before: int) -> None:
+        """Raise the error a sequential replay reports for event ``i``."""
+        kind, arg = int(self.kinds[i]), int(self.args[i])
+        if kind == EventKind.INSERT:
+            raise ValueError(
+                f"insert ids must be consecutive: expected {inserts_before}, "
+                f"got {arg}"
+            )
+        if kind == EventKind.DELETE:
+            raise ValueError(f"delete of ball {arg} that is not live")
+        if not 0 <= arg < self.n_slots:
+            raise ValueError(f"bin slot {arg} outside [0, {self.n_slots})")
+        if kind == EventKind.BIN_JOIN:
+            raise ValueError(f"bin {arg} joins but is already active")
+        earlier = np.count_nonzero(
+            (self.args[:i] == arg) & (self.kinds[:i] >= EventKind.BIN_LEAVE)
+        )
+        if earlier % 2:
+            raise ValueError(f"bin {arg} leaves but is already inactive")
+        raise ValueError("the last active bin cannot leave")
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -429,19 +459,43 @@ def steady_state_trace(
     m_target = check_positive_int(m_target, "m_target")
     pairs = check_non_negative_int(pairs, "pairs")
     epochs = check_positive_int(epochs, "epochs")
+    rule = DeletePolicy.coerce(policy)
     rng = resolve_rng(seed)
-    b = TraceBuilder()
-    for _ in range(m_target):
-        b.insert()
-    b.mark_epoch()
-    chunk_sizes = [len(c) for c in np.array_split(np.arange(pairs), epochs)]
-    for size in chunk_sizes:
-        for _ in range(size):
-            b.delete(policy, rng)
-            b.insert()
-        b.mark_epoch()
-    return b.build(
-        generator="steady_state", m_target=m_target, pairs=pairs, policy=str(policy)
+    m = m_target
+    # Occupancy is m at every delete, so the delete targets follow in
+    # closed form (fifo, lifo) or from one replay of the live list's
+    # swap-remove (random; the block draw yields the same doubles as
+    # one ``rng.random()`` per delete).
+    if rule is DeletePolicy.FIFO:
+        targets = np.arange(pairs, dtype=np.int64)
+    elif rule is DeletePolicy.LIFO:
+        targets = np.arange(m - 1, m - 1 + pairs, dtype=np.int64)
+    else:
+        picks = (rng.random(pairs) * m).astype(np.int64).tolist()
+        items = list(range(m))
+        out = [0] * pairs
+        last = m - 1
+        for k, i in enumerate(picks):
+            out[k] = items[i]
+            items[i] = items[last]
+            items[last] = m + k
+        targets = np.array(out, dtype=np.int64)
+    kinds = np.zeros(m + 2 * pairs, dtype=np.int8)
+    kinds[m::2] = EventKind.DELETE
+    args = np.empty(m + 2 * pairs, dtype=np.int64)
+    args[:m] = np.arange(m)
+    args[m::2] = targets
+    args[m + 1 :: 2] = np.arange(m, m + pairs)
+    sizes = np.array([len(c) for c in np.array_split(np.arange(pairs), epochs)])
+    epoch_ends = m + 2 * np.cumsum(np.r_[0, sizes[sizes > 0]])
+    return EventTrace(
+        kinds=kinds,
+        args=args,
+        epoch_ends=epoch_ends,
+        meta=dict(
+            generator="steady_state", m_target=m_target, pairs=pairs,
+            policy=str(policy),
+        ),
     )
 
 

@@ -1,7 +1,10 @@
-"""IncrementalState: O(d) single-op updates, growth, snapshots."""
+"""IncrementalState: O(d) single-op updates, churn, growth, snapshots."""
 
 import numpy as np
 import pytest
+from helpers import build_space
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.incremental import KIND_DELETE, KIND_INSERT, IncrementalState
 from repro.core.ring import RingSpace
@@ -154,3 +157,203 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             IncrementalState.load(tmp_path / "x.npz",
                                   space=RingSpace.random(8, seed=0))
+
+
+# ----------------------------------------------------------------------
+# churn: the O(gap) update against the O(n) full rebuild
+# ----------------------------------------------------------------------
+def _churn_state(n, strategy, seed=0, balls=24, kind="ring"):
+    # torus cell areas, unlike ring arcs, rarely sum to the same double
+    # in two orders, so they catch a summation-order change
+    space = build_space(kind, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    state = IncrementalState(space, 2, strategy, aux_rng=rng.spawn(1)[0])
+    cands, us = _draw(space, rng, balls)
+    for i in range(balls):
+        state.insert(i, cands[i], float(us[i]))
+    return state
+
+
+def _assert_matches_rebuild(state):
+    remap, measures = state._recompute_topology()
+    if remap is None:
+        assert state.remap is None
+    else:
+        assert state.remap.tobytes() == remap.tobytes()
+    if measures is None:
+        assert state.measures is None
+    else:
+        assert state.measures.tobytes() == measures.tobytes()
+    state.check()
+
+
+def _run_churn(n, strategy, ops, seed=0, kind="ring"):
+    """Apply ``(leave?, slot)`` ops, skipping invalid ones; compare each step."""
+    state = _churn_state(n, strategy, seed, kind=kind)
+    for leave, slot in ops:
+        slot %= n
+        if leave and state.active[slot] and state.active.sum() > 1:
+            state.bin_leave(slot)
+        elif not leave and not state.active[slot]:
+            state.bin_join(slot)
+        else:
+            continue
+        _assert_matches_rebuild(state)
+    return state
+
+
+STRATEGIES = ["random", "smaller", "larger"]
+
+
+class TestChurnMatchesRebuild:
+    @given(
+        n=st.integers(1, 40),
+        strategy=st.sampled_from(STRATEGIES),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 39)), max_size=60),
+        seed=st.integers(0, 3),
+        kind=st.sampled_from(["ring", "torus"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(n=2, strategy="smaller", ops=[(True, 0), (False, 0), (True, 1)],
+             seed=0, kind="ring")
+    @example(n=5, strategy="larger", ops=[(True, 0), (True, 4), (False, 4)],
+             seed=1, kind="ring")
+    def test_arbitrary_sequences(self, n, strategy, ops, seed, kind):
+        _run_churn(n, strategy, ops, seed, kind)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind, n", [("ring", 2), ("ring", 7), ("ring", 300),
+                                         ("torus", 1000)])
+    def test_all_but_one_leave_then_all_rejoin(self, kind, n, strategy):
+        order = np.random.default_rng(n).permutation(n)
+        survivor = int(order[-1])
+        ops = [(True, int(s)) for s in order[:-1]]
+        ops += [(False, int(s)) for s in order[:-1][::-1]]
+        state = _run_churn(n, strategy, ops, kind=kind)
+        assert state.remap is None and state.measures is state.base_measures
+        assert state.active.all() and state._inactive == 0
+        # the survivor held every ball at the bottom of the storm
+        assert state.loads[survivor] == state.occupancy
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_wrapping_gaps(self, strategy):
+        n = 9
+        ops = [(True, 0), (True, n - 1), (True, n - 2), (True, 1),
+               (False, n - 1), (False, 0), (True, 0), (False, 1), (False, 0),
+               (False, n - 2)]
+        state = _run_churn(n, strategy, ops)
+        assert state.remap is None
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_leave_rejoin_leave_same_slot(self, strategy):
+        state = _run_churn(6, strategy, [(True, 3), (False, 3), (True, 3)])
+        assert state.remap[3] == 4 and not state.active[3]
+        assert state.loads[3] == 0
+
+    def test_single_bin_cannot_leave(self):
+        state = _churn_state(1, "smaller")
+        with pytest.raises(ValueError, match="last active bin"):
+            state.bin_leave(0)
+        state.bin_join(0)  # already active: no-op
+        assert state.remap is None and state.loads[0] == state.occupancy
+        state.check()
+
+    def test_repeat_churn_is_a_noop(self):
+        state = _churn_state(8, "larger")
+        state.bin_leave(2)
+        before = (state.remap.copy(), state.measures.copy(), state.loads.copy())
+        state.bin_leave(2)
+        state.bin_join(5)
+        assert np.array_equal(before[0], state.remap)
+        assert np.array_equal(before[1], state.measures)
+        assert np.array_equal(before[2], state.loads)
+
+    def test_slot_out_of_range(self):
+        state = _churn_state(4, "random")
+        with pytest.raises(ValueError, match="outside"):
+            state.bin_leave(4)
+        with pytest.raises(ValueError, match="outside"):
+            state.bin_join(-1)
+
+
+class TestCheck:
+    def test_clean_state_passes(self):
+        _churn_state(16, "smaller").check()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda s: s.loads.__setitem__(0, s.loads[0] + 1), "bincount"),
+            (lambda s: setattr(s, "inserts_done", s.inserts_done + 1),
+             "inserts_done"),
+            (lambda s: s.active.__setitem__(int(s.ball_bin[0]), False),
+             "inactive bin holds balls"),
+            (lambda s: setattr(s, "remap", np.arange(s.n)), "remap"),
+            (lambda s: s.measures.__setitem__(0, 9.0), "measures"),
+            (lambda s: setattr(s, "_inactive", 2), "counter"),
+        ],
+        ids=["loads", "counters", "inactive-load", "remap", "measures",
+             "inactive-count"],
+    )
+    def test_names_the_broken_invariant(self, corrupt, message):
+        state = _churn_state(16, "smaller")
+        state.bin_leave(5)
+        corrupt(state)
+        with pytest.raises(ValueError, match=message):
+            state.check()
+
+    def test_repro_check_runs_after_churn(self, monkeypatch):
+        state = _churn_state(16, "random")
+        state.loads[0] += 1  # corrupted before the churn event
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        state.bin_leave(3)  # unchecked
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        with pytest.raises(ValueError, match="bincount"):
+            state.bin_join(3)
+
+    def test_load_rejects_corrupt_snapshot(self, tmp_path):
+        state = _churn_state(16, "random")
+        state.loads[1] += 2
+        state.save(tmp_path / "bad.npz")
+        with pytest.raises(ValueError, match="bincount"):
+            IncrementalState.load(tmp_path / "bad.npz")
+
+    def test_load_restores_churned_topology(self, tmp_path):
+        state = _churn_state(16, "larger")
+        for slot in (0, 15, 7):
+            state.bin_leave(slot)
+        state.save(tmp_path / "ck.npz")
+        restored, _ = IncrementalState.load(tmp_path / "ck.npz")
+        assert restored.remap.tobytes() == state.remap.tobytes()
+        assert restored.measures.tobytes() == state.measures.tobytes()
+        assert restored._inactive == 3
+
+
+class TestCrashSafeSave:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        state = _churn_state(16, "random")
+        path = tmp_path / "ck.npz"
+        state.save(path)
+        good = path.read_bytes()
+        state.bin_leave(4)
+
+        def torn_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            state.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+        restored, _ = IncrementalState.load(path)
+        restored.check()
+        assert restored.active.all()
+
+    def test_npz_suffix_appended_to_str_path(self, tmp_path):
+        state = _churn_state(8, "random")
+        state.save(str(tmp_path / "ck"))
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+        restored, _ = IncrementalState.load(tmp_path / "ck.npz")
+        assert np.array_equal(restored.loads, state.loads)

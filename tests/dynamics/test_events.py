@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import scalar_steady_state_trace, scalar_validate_replay
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamics.events import (
     DeletePolicy,
@@ -211,3 +214,143 @@ class TestGenerators:
     def test_policy_coerce_accepts_enum(self):
         t = steady_state_trace(8, pairs=2, policy=DeletePolicy.FIFO, seed=0)
         assert t.num_deletes == 2
+
+
+TRACE_FIELDS = ("kinds", "args", "epoch_ends")
+
+
+class TestColumnarSteadyState:
+    """The columnar generator equals the event-at-a-time builder."""
+
+    @pytest.mark.parametrize("policy", ["random", "fifo", "lifo"])
+    @pytest.mark.parametrize(
+        "m_target, pairs, epochs",
+        [(1, 0, 1), (1, 9, 3), (6, 0, 4), (5, 3, 10), (40, 300, 7), (64, 64, 1)],
+    )
+    def test_array_identity(self, policy, m_target, pairs, epochs):
+        for seed in range(3):
+            got = steady_state_trace(m_target, pairs, policy=policy,
+                                     epochs=epochs, seed=seed)
+            want = scalar_steady_state_trace(m_target, pairs, policy=policy,
+                                             epochs=epochs, seed=seed)
+            for name in TRACE_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.meta == want.meta
+            assert (got.num_inserts, got.num_deletes) == (
+                want.num_inserts, want.num_deletes)
+
+    def test_consumes_the_generator_like_scalar_draws(self):
+        a, b = resolve_rng(11), resolve_rng(11)
+        steady_state_trace(10, 25, seed=a)
+        scalar_steady_state_trace(10, 25, seed=b)
+        assert a.random() == b.random()
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _compare_validation(kinds, args, n_slots):
+    kinds = np.asarray(kinds, dtype=np.int8)
+    args = np.asarray(args, dtype=np.int64)
+    ends = np.array([kinds.size] if kinds.size else [], dtype=np.int64)
+
+    def vectorized():
+        t = EventTrace(kinds=kinds, args=args, epoch_ends=ends, n_slots=n_slots)
+        return t.num_inserts, t.num_deletes
+
+    got = _outcome(vectorized)
+    assert got == _outcome(lambda: scalar_validate_replay(kinds, args, n_slots))
+    return got
+
+
+def _storm():
+    t = churn_storm_trace(8, 12, waves=2, leave_fraction=0.4, pairs_per_wave=6,
+                          seed=3)
+    return t.kinds.copy(), t.args.copy()
+
+
+def _nth(kinds, kind, k=0):
+    return int(np.flatnonzero(kinds == kind)[k])
+
+
+class TestVectorizedValidation:
+    """``EventTrace`` rejects the first bad event with the scalar replay's text."""
+
+    def test_valid_storm_counts(self):
+        kinds, args = _storm()
+        assert _compare_validation(kinds, args, 8) == (24, 12)
+
+    def test_out_of_order_insert(self):
+        kinds, args = _storm()
+        args[_nth(kinds, EventKind.INSERT, 5)] += 1
+        assert "consecutive: expected 5, got 6" in _compare_validation(kinds, args, 8)
+
+    def test_dangling_delete(self):
+        kinds, args = _storm()
+        args[_nth(kinds, EventKind.DELETE)] = 999
+        assert "ball 999 that is not live" in _compare_validation(kinds, args, 8)
+
+    def test_double_delete(self):
+        kinds, args = _storm()
+        first, second = (_nth(kinds, EventKind.DELETE, k) for k in (0, 3))
+        args[second] = args[first]
+        assert "not live" in _compare_validation(kinds, args, 8)
+
+    def test_double_leave(self):
+        kinds, args = _storm()
+        first, second = (_nth(kinds, EventKind.BIN_LEAVE, k) for k in (0, 1))
+        args[second] = args[first]
+        assert "already inactive" in _compare_validation(kinds, args, 8)
+
+    def test_join_while_active(self):
+        kinds, args = _storm()
+        join = _nth(kinds, EventKind.BIN_JOIN)
+        args[join] = next(s for s in range(8) if s not in args[:join][
+            kinds[:join] == EventKind.BIN_LEAVE])
+        assert "already active" in _compare_validation(kinds, args, 8)
+
+    def test_last_bin_leaving(self):
+        kinds = [EventKind.INSERT, EventKind.BIN_LEAVE, EventKind.BIN_LEAVE,
+                 EventKind.BIN_JOIN, EventKind.BIN_LEAVE, EventKind.BIN_LEAVE]
+        args = [0, 2, 0, 0, 0, 1]
+        assert _compare_validation(kinds, args, 3) == \
+            "the last active bin cannot leave"
+
+    @pytest.mark.parametrize("slot", [-1, 8])
+    def test_slot_out_of_range(self, slot):
+        kinds, args = _storm()
+        args[_nth(kinds, EventKind.BIN_JOIN, 2)] = slot
+        assert "outside [0, 8)" in _compare_validation(kinds, args, 8)
+
+    def test_first_of_several_errors_wins(self):
+        kinds, args = _storm()
+        args[_nth(kinds, EventKind.BIN_JOIN, 4)] = 8  # later: bad slot
+        args[_nth(kinds, EventKind.DELETE, 0)] = -3  # earlier: dangling
+        assert "ball -3" in _compare_validation(kinds, args, 8)
+
+    @given(
+        kinds=st.lists(st.integers(0, 3), max_size=30),
+        args=st.lists(st.integers(-1, 6), min_size=30, max_size=30),
+        n_slots=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_replay_on_arbitrary_traces(self, kinds, args, n_slots):
+        _compare_validation(kinds, args[: len(kinds)], n_slots)
+
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(-2, 30)),
+            min_size=1, max_size=3,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_replay_on_mutated_storms(self, edits):
+        kinds, args = _storm()
+        for at, value in edits:
+            args[at % args.size] = value
+        _compare_validation(kinds, args, 8)

@@ -18,17 +18,22 @@ from repro.baselines.uniform import UniformSpace
 from repro.core.ring import RingSpace
 from repro.core.torus import TorusSpace
 from repro.dynamics.events import (
+    EventKind,
+    TraceBuilder,
     adversarial_burst_trace,
     churn_storm_trace,
     poisson_trace,
     steady_state_trace,
 )
+from repro.utils.rng import resolve_rng
 
 __all__ = [
     "build_space",
     "build_trace",
     "named_scenarios",
     "assert_dynamics_equal",
+    "scalar_steady_state_trace",
+    "scalar_validate_replay",
 ]
 
 
@@ -108,3 +113,70 @@ def assert_dynamics_equal(a, b) -> None:
     if snaps_a is not None and snaps_b is not None:
         for x, y in zip(snaps_a, snaps_b):
             assert np.array_equal(x, y)
+
+
+# ----------------------------------------------------------------------
+# scalar oracles for the columnar trace code
+# ----------------------------------------------------------------------
+def scalar_steady_state_trace(m_target, pairs, *, policy="random", epochs=10,
+                              seed=None):
+    """The event-at-a-time :class:`TraceBuilder` steady-state generator.
+
+    The reference ``steady_state_trace`` must match array for array.
+    """
+    rng = resolve_rng(seed)
+    b = TraceBuilder()
+    for _ in range(m_target):
+        b.insert()
+    b.mark_epoch()
+    for chunk in np.array_split(np.arange(pairs), epochs):
+        for _ in range(len(chunk)):
+            b.delete(policy, rng)
+            b.insert()
+        b.mark_epoch()
+    return b.build(
+        generator="steady_state", m_target=m_target, pairs=pairs, policy=str(policy)
+    )
+
+
+def scalar_validate_replay(kinds, args, n_slots=None):
+    """Replay a trace's events one at a time; return (inserts, deletes).
+
+    Raises the ``ValueError`` of the first event a sequential replay
+    rejects — the oracle for ``EventTrace``'s vectorized validation
+    (epoch and kind checks, which run first, are not replayed here).
+    """
+    next_ball = 0
+    live: set[int] = set()
+    inactive: set[int] = set()
+    active_count = n_slots if n_slots is not None else 1
+    for kind, arg in zip(np.asarray(kinds).tolist(), np.asarray(args).tolist()):
+        if kind == EventKind.INSERT:
+            if arg != next_ball:
+                raise ValueError(
+                    f"insert ids must be consecutive: expected {next_ball}, "
+                    f"got {arg}"
+                )
+            live.add(arg)
+            next_ball += 1
+        elif kind == EventKind.DELETE:
+            if arg not in live:
+                raise ValueError(f"delete of ball {arg} that is not live")
+            live.discard(arg)
+        elif kind == EventKind.BIN_LEAVE:
+            if not 0 <= arg < n_slots:
+                raise ValueError(f"bin slot {arg} outside [0, {n_slots})")
+            if arg in inactive:
+                raise ValueError(f"bin {arg} leaves but is already inactive")
+            if active_count <= 1:
+                raise ValueError("the last active bin cannot leave")
+            inactive.add(arg)
+            active_count -= 1
+        else:  # BIN_JOIN
+            if not 0 <= arg < n_slots:
+                raise ValueError(f"bin slot {arg} outside [0, {n_slots})")
+            if arg not in inactive:
+                raise ValueError(f"bin {arg} joins but is already active")
+            inactive.discard(arg)
+            active_count += 1
+    return next_ball, next_ball - len(live)
