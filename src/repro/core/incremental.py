@@ -186,40 +186,33 @@ class IncrementalState:
         Returns the chosen bin.  ``O(d)``: one load gather, one scalar
         tie-break, one increment.
         """
-        if ball >= self.ball_bin.shape[0]:
+        if ball >= len(self.ball_bin):
             self.reserve(ball + 1)
         cand = cand_row if self.remap is None else self.remap[cand_row]
-        row = self.loads[cand]
-        mrow = self.measures[cand] if self.needs_measures else None
-        j = decide_row_scalar(
-            row.tolist(),
-            None if mrow is None else mrow.tolist(),
-            float(u),
-            self.strategy,
-        )
-        chosen = int(cand[j])
-        self.loads[chosen] += 1
+        loads = self.loads
+        mrow = self.measures[cand].tolist() if self.needs_measures else None
+        j = decide_row_scalar(loads[cand].tolist(), mrow, float(u), self.strategy)
+        chosen = cand.item(j)
+        loads[chosen] += 1
         self.ball_bin[ball] = chosen
         self.inserts_done += 1
         return chosen
 
     def delete(self, ball: int) -> int:
         """Remove ``ball``; returns the bin it vacated.  ``O(1)``."""
-        if not 0 <= ball < self.ball_bin.shape[0]:
-            raise RuntimeError(f"delete of unplaced ball {ball}")
-        b = int(self.ball_bin[ball])
+        ball_bin = self.ball_bin
+        b = ball_bin.item(ball) if 0 <= ball < len(ball_bin) else -1
         if b < 0:
             raise RuntimeError(f"delete of unplaced ball {ball}")
         self.loads[b] -= 1
-        self.ball_bin[ball] = -1
+        ball_bin[ball] = -1
         self.deletes_done += 1
         return b
 
     def lookup(self, ball: int) -> int:
         """The bin currently holding ``ball`` (``-1`` if unplaced).  ``O(1)``."""
-        if not 0 <= ball < self.ball_bin.shape[0]:
-            return -1
-        return int(self.ball_bin[ball])
+        ball_bin = self.ball_bin
+        return ball_bin.item(ball) if 0 <= ball < len(ball_bin) else -1
 
     # ------------------------------------------------------------------
     # churn (scalar by nature: rare, topology-changing)
@@ -431,11 +424,16 @@ class IncrementalState:
         *,
         batch_size: int,
         backend: KernelBackend | None = None,
+        out: np.ndarray | None = None,
     ) -> None:
         """Apply a churn-free window of insert/delete events in order.
 
         ``cands``/``us`` are indexed by ball id (the pre-drawn or
-        streamed candidate arrays).  Three dispatch tiers, all
+        streamed candidate arrays).  When ``out`` (a C-contiguous int64
+        array indexed like ``kinds``) is given, ``out[i]`` receives
+        event ``i``'s result for ``start <= i < stop``: the chosen bin
+        of an insert, the freed bin of a delete — what :meth:`insert`
+        and :meth:`delete` return.  Three dispatch tiers, all
         bit-identical:
 
         * windows below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`
@@ -451,10 +449,9 @@ class IncrementalState:
         rows = stop - start
         if rows <= 0:
             return
-        if rows > 0:
-            amax = int(args[start:stop].max())
-            if amax >= self.ball_bin.shape[0]:
-                self.reserve(amax + 1)
+        amax = int(args[start:stop].max())
+        if amax >= self.ball_bin.shape[0]:
+            self.reserve(amax + 1)
         _obs = obs_enabled()
         if rows <= SMALL_WINDOW_CUTOFF:
             if _obs:
@@ -462,9 +459,11 @@ class IncrementalState:
             for i in range(start, stop):
                 arg = int(args[i])
                 if kinds[i] == KIND_INSERT:
-                    self.insert(arg, cands[arg], float(us[arg]))
+                    r = self.insert(arg, cands[arg], float(us[arg]))
                 else:
-                    self.delete(arg)
+                    r = self.delete(arg)
+                if out is not None:
+                    out[i] = r
             return
         if backend is not None and backend.dynamic_window is not None:
             if _obs:
@@ -483,6 +482,7 @@ class IncrementalState:
                 self.measures if self.needs_measures else None,
                 STRATEGY_CODES[self.strategy.value],
                 self.ball_bin,
+                out,
             )
             self.inserts_done += ins
             self.deletes_done += dels
@@ -519,12 +519,18 @@ class IncrementalState:
                 self.loads[chosen] += 1
                 self.ball_bin[ins_ids] = chosen
                 self.inserts_done += int(ins_ids.size)
+                if out is not None:
+                    out[i + np.flatnonzero(p_ins)] = chosen
             del_ids = aw[:prefix][~p_ins]
             if del_ids.size:
+                # read after the prefix inserts: a delete's target may be
+                # one of them
                 bins = self.ball_bin[del_ids]
                 np.subtract.at(self.loads, bins, 1)
                 self.ball_bin[del_ids] = -1
                 self.deletes_done += int(del_ids.size)
+                if out is not None:
+                    out[i + np.flatnonzero(~p_ins)] = bins
             i += prefix
             if prefix < b:
                 # the event at `i` reads a bin the prefix touched: its
@@ -533,9 +539,11 @@ class IncrementalState:
                     counter_add("dynamics.scalar_steps")
                 arg = int(aw[prefix])
                 if is_insert[prefix]:
-                    self.insert(arg, cands[arg], float(us[arg]))
+                    r = self.insert(arg, cands[arg], float(us[arg]))
                 else:
-                    self.delete(arg)
+                    r = self.delete(arg)
+                if out is not None:
+                    out[i] = r
                 i += 1
 
     # ------------------------------------------------------------------

@@ -134,11 +134,14 @@ class KernelBackend:
         not ``None``.  ``measures`` is the full per-bin measure array
         (or ``None`` for strategies that ignore it).
     ``dynamic_window(kinds, args, start, stop, cands, us, d, remap,
-    loads, measures, strategy_code, ball_bin)``
+    loads, measures, strategy_code, ball_bin, out=None)``
         Apply trace events ``start <= i < stop`` (inserts and deletes
         only — churn is a barrier handled by the caller), mutating
         ``loads`` and ``ball_bin`` in place; ``remap`` is the cyclic-
-        successor bin remap or ``None`` for the identity.  Returns the
+        successor bin remap or ``None`` for the identity.  When ``out``
+        (a C-contiguous int64 array indexed like ``kinds``) is given,
+        ``out[i]`` receives event ``i``'s bin: the chosen bin of an
+        insert, the freed bin of a delete.  Returns the
         ``(inserts, deletes)`` counts applied.
     ``ring_assign(pts, table, pos_ext, nbuckets, n, threads=1)``
         Bucket-table ring ownership lookup: for each point start at

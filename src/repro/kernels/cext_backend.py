@@ -146,13 +146,15 @@ void repro_place_block(const int64_t *bins, const double *us, int64_t b,
 }
 
 /* Kernel 2: churn-free window of mixed insert (kind 0) / delete events.
- * counts[0] += inserts applied, counts[1] += deletes applied. */
+ * counts[0] += inserts applied, counts[1] += deletes applied.  When out
+ * is not NULL, out[i] receives event i's bin: the chosen bin of an
+ * insert, the freed bin of a delete. */
 void repro_dynamic_window(const int8_t *kinds, const int64_t *args,
                           int64_t start, int64_t stop, const int64_t *cands,
                           const double *us, int64_t d, const int64_t *remap,
                           int64_t *loads, const double *measures,
                           int64_t strategy, int64_t *ball_bin,
-                          int64_t *counts)
+                          int64_t *counts, int64_t *out)
 {
     int64_t i, ins = 0, dels = 0;
     for (i = start; i < stop; i++) {
@@ -169,10 +171,15 @@ void repro_dynamic_window(const int8_t *kinds, const int64_t *args,
                 decide(loads, cand, remap, d, measures, us[ball], strategy));
             loads[chosen] += 1;
             ball_bin[ball] = chosen;
+            if (out)
+                out[i] = chosen;
             ins++;
         } else {
-            loads[ball_bin[ball]] -= 1;
+            int64_t freed = ball_bin[ball];
+            loads[freed] -= 1;
             ball_bin[ball] = -1;
+            if (out)
+                out[i] = freed;
             dels++;
         }
     }
@@ -454,7 +461,7 @@ def build_backend():
     lib.repro_place_block.restype = None
     lib.repro_dynamic_window.argtypes = [
         _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64,
-        _PTR, _PTR,
+        _PTR, _PTR, _PTR,
     ]
     lib.repro_dynamic_window.restype = None
     lib.repro_ring_assign.argtypes = [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR]
@@ -485,7 +492,7 @@ def build_backend():
 
     def dynamic_window(
         kinds, args, start, stop, cands, us, d, remap, loads, measures,
-        strategy_code, ball_bin,
+        strategy_code, ball_bin, out=None,
     ):
         """C kernel for a churn-free insert/delete event window."""
         kinds = _as_c(kinds, np.int8)
@@ -496,11 +503,13 @@ def build_backend():
         measures = None if measures is None else _as_c(measures, np.float64)
         _check_inplace(loads, np.int64, "loads")
         _check_inplace(ball_bin, np.int64, "ball_bin")
+        if out is not None:
+            _check_inplace(out, np.int64, "out")
         counts = np.zeros(2, dtype=np.int64)
         lib.repro_dynamic_window(
             _p(kinds), _p(args), int(start), int(stop), _p(cands), _p(us),
             int(d), _p(remap), _p(loads), _p(measures), int(strategy_code),
-            _p(ball_bin), _p(counts),
+            _p(ball_bin), _p(counts), _p(out),
         )
         return int(counts[0]), int(counts[1])
 

@@ -84,7 +84,7 @@ def _place_block_impl(bins, us, loads, measures, use_measures, strategy,
 
 def _dynamic_window_impl(kinds, args, start, stop, cands, us, d, remap,
                          use_remap, loads, measures, use_measures, strategy,
-                         ball_bin):
+                         ball_bin, out, use_out):
     """Churn-free insert/delete window (jitted scalar loop)."""
     ins = np.int64(0)
     dels = np.int64(0)
@@ -150,10 +150,15 @@ def _dynamic_window_impl(kinds, args, start, stop, cands, us, d, remap,
                         best_key = measures[c]
             loads[chosen] += 1
             ball_bin[ball] = chosen
+            if use_out:
+                out[i] = chosen
             ins += 1
         else:  # delete
-            loads[ball_bin[ball]] -= 1
+            freed = ball_bin[ball]
+            loads[freed] -= 1
             ball_bin[ball] = -1
+            if use_out:
+                out[i] = freed
             dels += 1
     return ins, dels
 
@@ -253,7 +258,7 @@ def build_backend():
         )
 
     def dynamic_window(kinds, args, start, stop, cands, us, d, remap, loads,
-                       measures, strategy_code, ball_bin):
+                       measures, strategy_code, ball_bin, out=None):
         """Numba kernel for a churn-free insert/delete event window."""
         ins, dels = dynamic_window_jit(
             kinds,
@@ -270,6 +275,8 @@ def build_backend():
             measures is not None,
             strategy_code,
             ball_bin,
+            _EMPTY_I8 if out is None else out,
+            out is not None,
         )
         return int(ins), int(dels)
 

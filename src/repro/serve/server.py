@@ -17,15 +17,18 @@ unchanged).  Two submission shapes:
   the queued ops' results in order.
 
 Either way the ops are micro-batched into blocks of at most
-``max_batch`` and applied through
-:meth:`repro.core.incremental.IncrementalState.apply_window` — the
-compiled ``dynamic_window`` kernel for large mutation runs, the scalar
-reference below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`.  Lookups
-between mutations are answered by one vectorized gather from the
-ball→bin index.  Batching is a *latency/throughput* knob only: any
-partition of the same op sequence produces bit-identical placements,
-because every tier applies events strictly in order with the same
-decision kernels.
+``max_batch``.  A block's inserts and deletes are applied in order as
+**one** :meth:`repro.core.incremental.IncrementalState.apply_window`
+window — the compiled ``dynamic_window`` kernel, or the scalar
+reference at or below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`
+events — which reports each event's bin.  The block's lookups are
+answered outside that window: no churn happens inside a block, so a
+ball placed before the block keeps its bin until a delete in the block
+(one gather from the ball→bin index, taken before the window), and a
+ball inserted in the block sits where its insert put it.  Batching is
+a *latency/throughput* knob only: any partition of the same op
+sequence produces bit-identical placements and results, because every
+tier applies events strictly in order with the same decision kernels.
 
 Randomness
 ----------
@@ -38,8 +41,8 @@ engines' :func:`repro.core.engine.choice_blocks` arrays, which is what
 makes trace replay (:mod:`repro.serve.replay`) bit-identical to
 :func:`repro.dynamics.simulate_dynamics`.
 
-Every applied block records decision latency into a
-:class:`LatencyStats` reservoir (and, when observability is on, the
+Every applied block and scalar op records decision latency for
+:class:`LatencyStats` (and, when observability is on, the
 ``serve.op_latency_s`` / ``serve.batch_ops`` histograms — readable
 with p50/p95/p99 via ``obs report``).
 """
@@ -74,6 +77,11 @@ __all__ = [
 OP_INSERT = 0
 OP_DELETE = 1
 OP_LOOKUP = 2
+
+_BAD_KINDS = (
+    f"op kinds must be OP_INSERT/OP_DELETE/OP_LOOKUP "
+    f"({OP_INSERT}/{OP_DELETE}/{OP_LOOKUP})"
+)
 
 
 class CandidateStream:
@@ -116,6 +124,9 @@ class CandidateStream:
 
         ``ensure`` (optional) is called with the required row count
         before reads — the hook a background predraw pipeline gates on.
+        With a hook, :attr:`drawn` counts the rows the hook has
+        confirmed, so ``ball < stream.drawn`` always means row ``ball``
+        is ready to read.
         """
         stream = cls.__new__(cls)
         stream._space = None
@@ -125,7 +136,7 @@ class CandidateStream:
         stream.rng_block = DEFAULT_RNG_BLOCK
         stream.cands = cands
         stream.us = us
-        stream.drawn = cands.shape[0]
+        stream.drawn = cands.shape[0] if ensure is None else 0
         stream._ensure_hook = ensure
         stream._online = False
         return stream
@@ -135,6 +146,7 @@ class CandidateStream:
         if not self._online:
             if self._ensure_hook is not None:
                 self._ensure_hook(count)
+                self.drawn = max(self.drawn, count)
             elif count > self.drawn:
                 raise RuntimeError(
                     f"pre-drawn candidate stream exhausted: need {count} rows, "
@@ -235,45 +247,57 @@ class LatencyStats:
 
 
 class _LatencyRecorder:
-    """Per-block latency accumulator behind :class:`LatencyStats`.
+    """Latency history behind :class:`LatencyStats`.
 
-    One entry per applied block — bounded memory for arbitrarily long
-    serving sessions, exact count-weighted quantiles over per-op times.
+    Each applied block adds one entry to each of two lists (its per-op
+    time and its op count); each scalar op appends its time to
+    :attr:`scalar`, a plain float list the scalar path appends to
+    directly.  Memory therefore grows with the session: about 32 bytes
+    per scalar op (a float object and its list slot) and about twice
+    that per block, until :meth:`PlacementServer.reset_latency` drops
+    the history.  :meth:`stats` folds both into exact count-weighted
+    quantiles (a scalar op is a block of one).
     """
 
     def __init__(self) -> None:
         self._per_op: list[float] = []
         self._ops: list[int] = []
-        self.count = 0
-        self.total_s = 0.0
+        self._block_s = 0.0
+        self.scalar: list[float] = []
 
     def record(self, seconds: float, ops: int) -> None:
         """Record one applied block of ``ops`` ops taking ``seconds``."""
         self._per_op.append(seconds / ops)
         self._ops.append(ops)
-        self.count += ops
-        self.total_s += seconds
+        self._block_s += seconds
 
     def stats(self) -> LatencyStats:
-        """Fold the recorded blocks into a :class:`LatencyStats`."""
-        if not self.count:
+        """Fold the recorded blocks and scalar ops into a :class:`LatencyStats`."""
+        per_op = np.concatenate(
+            (np.array(self._per_op, dtype=np.float64),
+             np.array(self.scalar, dtype=np.float64))
+        )
+        if not per_op.size:
             return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        per_op = np.array(self._per_op)
-        ops = np.array(self._ops, dtype=np.int64)
+        ops = np.concatenate(
+            (np.array(self._ops, dtype=np.int64),
+             np.ones(len(self.scalar), dtype=np.int64))
+        )
+        count = int(ops.sum())
+        total_s = self._block_s + float(np.sum(self.scalar))
         order = np.argsort(per_op, kind="stable")
         per_op, ops = per_op[order], ops[order]
         cum = np.cumsum(ops)
 
         def q(quantile: float) -> float:
-            target = quantile * self.count
-            idx = int(np.searchsorted(cum, target))
+            idx = int(np.searchsorted(cum, quantile * count))
             return float(per_op[min(idx, per_op.size - 1)])
 
         return LatencyStats(
-            count=self.count,
-            total_s=self.total_s,
-            ops_per_s=self.count / self.total_s if self.total_s > 0 else 0.0,
-            mean_s=self.total_s / self.count,
+            count=count,
+            total_s=total_s,
+            ops_per_s=count / total_s if total_s > 0 else 0.0,
+            mean_s=total_s / count,
             p50_s=q(0.50),
             p95_s=q(0.95),
             p99_s=q(0.99),
@@ -364,6 +388,7 @@ class PlacementServer:
         self._next_ball = 0
         self._key_ball: dict = {}
         self._lat = _LatencyRecorder()
+        self._scalar_lat = self._lat.scalar
         self._pending_kinds = np.empty(self.max_pending, dtype=np.int8)
         self._pending_keys: list = []
         self._pending_n = 0
@@ -389,41 +414,54 @@ class PlacementServer:
     def reset_latency(self) -> None:
         """Drop the latency history (so benchmarks can exclude warm-up)."""
         self._lat = _LatencyRecorder()
+        self._scalar_lat = self._lat.scalar
 
     # ------------------------------------------------------------------
     # scalar fast path
     # ------------------------------------------------------------------
     def insert(self, key) -> int:
         """Place one key now; returns its bin.  The batch=1 fast path."""
-        self._flush_if_pending()
+        if self._pending_n:
+            self._flush_if_pending()
         t0 = perf_counter()
-        if key in self._key_ball:
+        key_ball = self._key_ball
+        if key in key_ball:
             raise KeyError(f"key {key!r} is already live")
         ball = self._next_ball
+        stream = self.stream
+        if ball >= stream.drawn:
+            stream.ensure(ball + 1)
+        chosen = self.state.insert(ball, stream.cands[ball], stream.us[ball])
+        key_ball[key] = ball
         self._next_ball = ball + 1
-        self._key_ball[key] = ball
-        self.stream.ensure(ball + 1)
-        chosen = self.state.insert(
-            ball, self.stream.cands[ball], float(self.stream.us[ball])
-        )
-        self._record(perf_counter() - t0, 1)
+        dt = perf_counter() - t0
+        self._scalar_lat.append(dt)
+        if obs_enabled():
+            self._observe(dt, 1)
         return chosen
 
     def delete(self, key) -> int:
         """Remove one key now; returns the bin it vacated."""
-        self._flush_if_pending()
+        if self._pending_n:
+            self._flush_if_pending()
         t0 = perf_counter()
-        ball = self._key_ball.pop(key)
-        freed = self.state.delete(ball)
-        self._record(perf_counter() - t0, 1)
+        freed = self.state.delete(self._key_ball.pop(key))
+        dt = perf_counter() - t0
+        self._scalar_lat.append(dt)
+        if obs_enabled():
+            self._observe(dt, 1)
         return freed
 
     def lookup(self, key) -> int:
         """The bin currently holding ``key`` (raises for unknown keys)."""
-        self._flush_if_pending()
+        if self._pending_n:
+            self._flush_if_pending()
         t0 = perf_counter()
         bin_ = self.state.lookup(self._key_ball[key])
-        self._record(perf_counter() - t0, 1)
+        dt = perf_counter() - t0
+        self._scalar_lat.append(dt)
+        if obs_enabled():
+            self._observe(dt, 1)
         return bin_
 
     # ------------------------------------------------------------------
@@ -433,16 +471,18 @@ class PlacementServer:
         """Apply a batch of ``(kind, key)`` ops now; per-op results.
 
         ``kinds`` is a sequence of op codes, ``keys`` the matching key
-        sequence.  Results: inserts and lookups yield the bin, deletes
-        ``-1``.  Ops apply strictly in order; the batch is split into
-        ``max_batch`` blocks internally (identical results for any
-        split).  Inserting a live key or deleting/looking up an unknown
-        key raises ``KeyError`` before any op of the failing block is
-        applied (earlier blocks stay applied; the key map may hold the
-        failing block's earlier inserts).
+        sequence.  Results: inserts and lookups yield the bin — what
+        :meth:`insert` and :meth:`lookup` would return at that point of
+        the sequence — deletes ``-1``.  Ops apply strictly in order; the
+        batch is split into ``max_batch`` blocks internally (identical
+        results for any split).  Inserting a live key or
+        deleting/looking up an unknown key raises ``KeyError`` before
+        any op of the failing block is applied: earlier blocks stay
+        applied, and the key map is restored to its state before the
+        failing block.
         """
         self._flush_if_pending()
-        kinds = np.ascontiguousarray(kinds, dtype=np.int8)
+        kinds = _check_kinds(kinds)
         return self._submit_keyed(kinds, keys)
 
     def submit_ids(self, kinds, args) -> np.ndarray:
@@ -450,29 +490,48 @@ class PlacementServer:
 
         Insert args must be consecutive from the server's next ball id
         — the trace discipline (:class:`~repro.dynamics.events.EventTrace`
-        validates it for traces; this method re-checks).  No key map is
-        touched.
+        validates it for traces; this method re-checks) — and each
+        delete or lookup arg must be a ball id assigned before that op
+        (``ValueError`` otherwise, raised before the failing block is
+        applied).  A delete must target a placed ball; a lookup of a
+        ball already deleted yields ``-1``, as
+        :meth:`~repro.core.incremental.IncrementalState.lookup` does.
+        No key map is touched.
         """
         self._flush_if_pending()
-        kinds = np.ascontiguousarray(kinds, dtype=np.int8)
+        kinds = _check_kinds(kinds)
         args = np.ascontiguousarray(args, dtype=np.int64)
+        if args.shape != kinds.shape:
+            raise ValueError(
+                f"kinds and args must have the same shape, got {kinds.shape} "
+                f"and {args.shape}"
+            )
         results = np.empty(args.size, dtype=np.int64)
         for a in range(0, args.size, self.max_batch):
             b = min(a + self.max_batch, args.size)
             t0 = perf_counter()
+            ball0 = self._next_ball
+            block = args[a:b]
             ins = kinds[a:b] == OP_INSERT
-            n_ins = int(ins.sum())
-            if n_ins:
-                expected = np.arange(
-                    self._next_ball, self._next_ball + n_ins, dtype=np.int64
+            n_ins = int(np.count_nonzero(ins))
+            if n_ins and not np.array_equal(
+                block[ins], np.arange(ball0, ball0 + n_ins, dtype=np.int64)
+            ):
+                raise ValueError(
+                    f"submit_ids insert args must be consecutive from ball {ball0}"
                 )
-                if not np.array_equal(args[a:b][ins], expected):
+            if n_ins < b - a:
+                other = ~ins
+                named = block[other]
+                if named.min() < 0 or (
+                    named >= (ball0 + np.cumsum(ins))[other]
+                ).any():
                     raise ValueError(
-                        "submit_ids insert args must be consecutive from "
-                        f"ball {self._next_ball}"
+                        "submit_ids delete/lookup args must be ball ids assigned "
+                        "before the op"
                     )
-                self._next_ball += n_ins
-            self._apply_block(kinds, args, a, b, results)
+            self._next_ball = ball0 + n_ins
+            self._apply_block(kinds, args, a, b, results, ball0)
             self._record(perf_counter() - t0, b - a)
         return results
 
@@ -487,6 +546,8 @@ class PlacementServer:
         (backpressure).  Results are delivered, in op order, by the
         next :meth:`flush`.
         """
+        if not OP_INSERT <= kind <= OP_LOOKUP:
+            raise ValueError(_BAD_KINDS)
         self._pending_kinds[self._pending_n] = kind
         self._pending_keys.append(key)
         self._pending_n += 1
@@ -630,66 +691,128 @@ class PlacementServer:
         return self._submit_keyed(kinds, keys)
 
     def _submit_keyed(self, kinds: np.ndarray, keys) -> np.ndarray:
+        if len(keys) != kinds.size:
+            raise ValueError(f"got {kinds.size} op kinds but {len(keys)} keys")
         results = np.empty(kinds.size, dtype=np.int64)
         args = np.empty(kinds.size, dtype=np.int64)
         key_ball = self._key_ball
         for a in range(0, kinds.size, self.max_batch):
             b = min(a + self.max_batch, kinds.size)
             t0 = perf_counter()
-            ball = self._next_ball
-            for i in range(a, b):
-                kind = kinds[i]
-                key = keys[i]
-                if kind == OP_INSERT:
-                    if key in key_ball:
-                        raise KeyError(f"key {key!r} is already live")
-                    key_ball[key] = ball
-                    args[i] = ball
-                    ball += 1
-                elif kind == OP_DELETE:
-                    args[i] = key_ball.pop(key)
-                else:
-                    args[i] = key_ball[key]
+            ball0 = ball = self._next_ball
+            block_kinds = kinds[a:b].tolist()
+            block_keys = keys[a:b]
+            block_args: list[int] = []
+            put = block_args.append
+            try:
+                for kind, key in zip(block_kinds, block_keys):
+                    if kind == OP_LOOKUP:
+                        put(key_ball[key])
+                    elif kind == OP_INSERT:
+                        if key in key_ball:
+                            raise KeyError(f"key {key!r} is already live")
+                        key_ball[key] = ball
+                        put(ball)
+                        ball += 1
+                    else:
+                        put(key_ball.pop(key))
+            except BaseException:
+                # undo the block's key-map changes, newest first
+                for j in range(len(block_args) - 1, -1, -1):
+                    if block_kinds[j] == OP_INSERT:
+                        del key_ball[block_keys[j]]
+                    elif block_kinds[j] == OP_DELETE:
+                        key_ball[block_keys[j]] = block_args[j]
+                raise
+            args[a:b] = block_args
             self._next_ball = ball
-            self._apply_block(kinds, args, a, b, results)
+            self._apply_block(kinds, args, a, b, results, ball0)
             self._record(perf_counter() - t0, b - a)
         return results
 
-    def _apply_block(self, kinds, args, a: int, b: int, results) -> None:
-        """Apply ops ``[a, b)``: mutation runs batched, lookups gathered."""
-        self.stream.ensure(self._next_ball)
+    def _apply_block(self, kinds, args, a: int, b: int, results, ball0: int) -> None:
+        """Apply ops ``[a, b)``: the mutations as one window, lookups around it.
+
+        The block's inserts are balls ``[ball0, self._next_ball)`` in op
+        order, and every delete or lookup names a ball assigned before it.
+        No churn happens inside a block, so a lookup's answer is the
+        ball's bin before the block (read before the window), the bin its
+        in-block insert chose (the window's ``out``), or ``-1`` once an
+        in-block delete freed it.
+        """
+        stream = self.stream
+        stream.ensure(self._next_ball)
         state = self.state
-        is_lookup = (kinds[a:b] == OP_LOOKUP).view(np.int8)
-        run_edges = np.flatnonzero(np.diff(is_lookup)) + 1 + a
-        bounds = [a, *run_edges.tolist(), b]
-        for r in range(len(bounds) - 1):
-            ra, rb = bounds[r], bounds[r + 1]
-            if kinds[ra] == OP_LOOKUP:
-                results[ra:rb] = state.ball_bin[args[ra:rb]]
-            else:
-                state.apply_window(
-                    kinds,
-                    args,
-                    ra,
-                    rb,
-                    self.stream.cands,
-                    self.stream.us,
-                    batch_size=self._batch_size,
-                    backend=self.backend,
-                )
-                seg_kinds = kinds[ra:rb]
-                seg = results[ra:rb]
-                seg[...] = -1
-                ins = seg_kinds == OP_INSERT
-                if ins.any():
-                    seg[ins] = state.ball_bin[args[ra:rb][ins]]
+        window = dict(batch_size=self._batch_size, backend=self.backend)
+        res = results[a:b]
+        kinds_b = kinds[a:b]
+        is_lookup = kinds_b == OP_LOOKUP
+        if not is_lookup.any():
+            state.apply_window(
+                kinds, args, a, b, stream.cands, stream.us, out=results, **window
+            )
+            res[kinds_b == OP_DELETE] = -1
+            return
+        args_b = args[a:b]
+        lpos = np.flatnonzero(is_lookup)
+        lballs = args_b[lpos]
+        if lpos.size == b - a:
+            # every assigned ball was inserted, so the index holds its id
+            res[:] = state.ball_bin[lballs]
+            return
+        mpos = np.flatnonzero(~is_lookup)
+        mkinds = kinds_b[mpos]
+        margs = args_b[mpos]
+        is_del = mkinds == OP_DELETE
+        dpos, dballs = mpos[is_del], margs[is_del]
+        state.reserve(self._next_ball)
+        ball_bin = state.ball_bin
+        # gather the lookups' pre-block bins with each in-block delete's
+        # target marked -2 - k (k its index among the deletes), so the
+        # same gather tells which lookups come after their ball's delete
+        saved = ball_bin[dballs]
+        ball_bin[dballs] = -2 - np.arange(dballs.size, dtype=np.int64)
+        got = ball_bin[lballs]
+        ball_bin[dballs] = saved
+        marked = np.flatnonzero(got <= -2)
+        k = -2 - got[marked]
+        got[marked] = saved[k]
+        freed = marked[dpos[k] < lpos[marked]]
+        mout = np.empty(mpos.size, dtype=np.int64)
+        state.apply_window(
+            mkinds, margs, 0, mpos.size, stream.cands, stream.us,
+            out=mout, **window,
+        )
+        mout[is_del] = -1
+        res[mpos] = mout
+        new = np.flatnonzero(lballs >= ball0)
+        if new.size:
+            # the block's j-th insert, which precedes the lookup, placed
+            # ball ball0 + j
+            got[new] = res[mpos[~is_del][lballs[new] - ball0]]
+        got[freed] = -1
+        res[lpos] = got
 
     def _record(self, seconds: float, ops: int) -> None:
         self._lat.record(seconds, ops)
         if obs_enabled():
-            counter_add("serve.ops", ops)
-            histogram_observe("serve.batch_ops", ops)
-            histogram_observe("serve.op_latency_s", seconds / ops)
+            self._observe(seconds, ops)
+
+    @staticmethod
+    def _observe(seconds: float, ops: int) -> None:
+        counter_add("serve.ops", ops)
+        histogram_observe("serve.batch_ops", ops)
+        histogram_observe("serve.op_latency_s", seconds / ops)
+
+
+def _check_kinds(kinds) -> np.ndarray:
+    """``kinds`` as a contiguous int8 array of valid op codes."""
+    kinds = np.ascontiguousarray(kinds, dtype=np.int8)
+    if kinds.ndim != 1:
+        raise ValueError(f"kinds must be 1-D, got shape {kinds.shape}")
+    if kinds.size and (int(kinds.min()) < OP_INSERT or int(kinds.max()) > OP_LOOKUP):
+        raise ValueError(_BAD_KINDS)
+    return kinds
 
 
 def _checkpoint_meta(path) -> dict:

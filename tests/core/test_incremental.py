@@ -1,5 +1,7 @@
 """IncrementalState: O(d) single-op updates, churn, growth, snapshots."""
 
+import copy
+
 import numpy as np
 import pytest
 from helpers import build_space
@@ -8,6 +10,12 @@ from hypothesis import strategies as st
 
 from repro.core.incremental import KIND_DELETE, KIND_INSERT, IncrementalState
 from repro.core.ring import RingSpace
+from repro.kernels import (
+    SMALL_WINDOW_CUTOFF,
+    KernelBackend,
+    available_backends,
+    get_backend,
+)
 
 
 def _state(n=16, d=2, seed=0, **kwargs):
@@ -113,6 +121,154 @@ class TestApplyWindow:
             st.apply_window(kinds, args, 0, cut, cands, us, batch_size=64)
             st.apply_window(kinds, args, cut, 50, cands, us, batch_size=64)
             assert np.array_equal(ref.loads, st.loads)
+
+
+# ----------------------------------------------------------------------
+# apply_window(out=): every dispatch tier against sequential insert/delete
+# ----------------------------------------------------------------------
+def _numba_body_backend():
+    """The numba kernel's loop run as plain Python (no JIT needed)."""
+    from repro.kernels.numba_backend import _dynamic_window_impl
+
+    empty_i8 = np.empty(0, dtype=np.int64)
+    empty_f8 = np.empty(0, dtype=np.float64)
+
+    def dynamic_window(kinds, args, start, stop, cands, us, d, remap, loads,
+                       measures, strategy_code, ball_bin, out=None):
+        return _dynamic_window_impl(
+            kinds, args, start, stop, cands, us, d,
+            empty_i8 if remap is None else remap, remap is not None,
+            loads, empty_f8 if measures is None else measures,
+            measures is not None, strategy_code, ball_bin,
+            empty_i8 if out is None else out, out is not None,
+        )
+
+    return KernelBackend("numba-body", dynamic_window=dynamic_window)
+
+
+def _tier_backend(tier):
+    """The backend that sends a window above SMALL_WINDOW_CUTOFF to ``tier``."""
+    if tier == "numpy-prefix":
+        return None
+    if tier == "numba-body":
+        return _numba_body_backend()
+    if not available_backends().get(tier):
+        pytest.skip(f"kernel backend {tier!r} unavailable on this machine")
+    return get_backend(tier)
+
+
+def _window_case(seed, strategy, rows, *, pre=12, leaves=(), del_p=0.4):
+    """A churned state plus a legal window: deletes hit live balls,
+    including balls inserted earlier in the same window."""
+    space = RingSpace.random(24, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    state = IncrementalState(space, 2, strategy, aux_rng=rng.spawn(1)[0])
+    cands, us = _draw(space, rng, pre + rows)
+    for i in range(pre):
+        state.insert(i, cands[i], float(us[i]))
+    for slot in leaves:
+        state.bin_leave(slot)
+    live, nxt = list(range(pre)), pre
+    kinds = np.empty(rows, dtype=np.int8)
+    args = np.empty(rows, dtype=np.int64)
+    for i in range(rows):
+        if live and rng.random() < del_p:
+            kinds[i] = KIND_DELETE
+            args[i] = live.pop(int(rng.integers(len(live))))
+        else:
+            kinds[i], args[i] = KIND_INSERT, nxt
+            live.append(nxt)
+            nxt += 1
+    return state, kinds, args, cands, us
+
+
+def _assert_same_index(a, b):
+    """Equal ball→bin maps (capacities may differ; the excess is -1)."""
+    m = min(a.ball_bin.size, b.ball_bin.size)
+    assert np.array_equal(a.ball_bin[:m], b.ball_bin[:m])
+    assert (a.ball_bin[m:] == -1).all() and (b.ball_bin[m:] == -1).all()
+
+
+
+
+class TestApplyWindowOut:
+    """``out`` equals what sequential insert/delete return, on every tier."""
+
+    @staticmethod
+    def _check(tier, seed, strategy, rows, leaves=(), batch_size=64, **case):
+        state, kinds, args, cands, us = _window_case(
+            seed, strategy, rows, leaves=leaves, **case
+        )
+        ref = copy.deepcopy(state)
+        expected = np.array(
+            [
+                ref.insert(int(a), cands[a], float(us[a])) if k == KIND_INSERT
+                else ref.delete(int(a))
+                for k, a in zip(kinds, args)
+            ],
+            dtype=np.int64,
+        )
+        # the window sits inside longer arrays: out outside it is untouched
+        pad = 3
+        kinds_p = np.concatenate((np.full(pad, KIND_INSERT, np.int8), kinds))
+        args_p = np.concatenate((np.zeros(pad, np.int64), args))
+        out = np.full(pad + rows + 2, -7, dtype=np.int64)
+        state.apply_window(
+            kinds_p, args_p, pad, pad + rows, cands, us,
+            batch_size=batch_size, backend=_tier_backend(tier), out=out,
+        )
+        assert out[pad : pad + rows].tolist() == expected.tolist()
+        assert (out[:pad] == -7).all() and (out[pad + rows :] == -7).all()
+        assert np.array_equal(state.loads, ref.loads)
+        _assert_same_index(state, ref)
+        assert (state.inserts_done, state.deletes_done) == (
+            ref.inserts_done, ref.deletes_done
+        )
+        state.check()
+
+    @pytest.mark.parametrize("tier", ["numpy-prefix", "cext", "numba", "numba-body"])
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    def test_scalar_tier(self, tier, rows):
+        # at or below SMALL_WINDOW_CUTOFF every backend steps scalar
+        assert rows <= SMALL_WINDOW_CUTOFF
+        self._check(tier, 7, "random", rows)
+
+    @pytest.mark.parametrize("tier", ["numpy-prefix", "cext", "numba", "numba-body"])
+    @pytest.mark.parametrize("strategy", ["random", "first", "smaller", "larger"])
+    @pytest.mark.parametrize("leaves", [(), (3, 4, 11, 23)], ids=["identity", "remap"])
+    def test_large_window_tiers(self, tier, strategy, leaves):
+        self._check(tier, 11, strategy, 120, leaves=leaves)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 90),
+        strategy=st.sampled_from(["random", "first", "smaller", "larger"]),
+        leaves=st.lists(st.integers(0, 23), max_size=6, unique=True),
+        batch_size=st.sampled_from([4, 16, 64]),
+        tier=st.sampled_from(
+            ["numpy-prefix", "numba-body"]
+            + (["cext"] if available_backends().get("cext") else [])
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_windows(self, seed, rows, strategy, leaves, batch_size, tier):
+        self._check(tier, seed, strategy, rows, leaves=leaves, batch_size=batch_size)
+
+    @pytest.mark.parametrize("tier", ["numpy-prefix", "cext", "numba-body"])
+    @pytest.mark.parametrize("rows", [10, 60])
+    def test_insert_then_delete_same_ball(self, tier, rows):
+        # from an empty state with del_p=1 every insert is deleted by the
+        # next event: each ball's insert and delete share one window
+        self._check(tier, 5, "random", rows, pre=0, del_p=1.0)
+
+    def test_without_out_unchanged(self):
+        state, kinds, args, cands, us = _window_case(3, "random", 60)
+        twin = copy.deepcopy(state)
+        state.apply_window(kinds, args, 0, 60, cands, us, batch_size=64)
+        twin.apply_window(kinds, args, 0, 60, cands, us, batch_size=64,
+                          out=np.empty(60, dtype=np.int64))
+        assert np.array_equal(state.loads, twin.loads)
+        _assert_same_index(state, twin)
 
 
 class TestSnapshot:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ring import RingSpace
 from repro.serve import (
@@ -11,6 +13,7 @@ from repro.serve import (
     CandidateStream,
     PlacementServer,
 )
+from repro.kernels import available_backends
 
 
 def _server(seed=7, **kwargs):
@@ -82,6 +85,111 @@ class TestBatchingEquivalence:
         assert s.flush().size == 1
 
 
+def _legal_ops(picks, pool):
+    """Turn ``(choice, key index)`` picks into a legal keyed op stream.
+
+    A key that is not live is inserted; a live key is deleted when
+    ``choice == 0`` and looked up otherwise.  A small pool makes keys
+    come and go within one block.
+    """
+    live, kinds, keys = set(), [], []
+    for choice, k in picks:
+        key = f"k{k % pool}"
+        if key not in live:
+            kinds.append(OP_INSERT)
+            live.add(key)
+        elif choice == 0:
+            kinds.append(OP_DELETE)
+            live.discard(key)
+        else:
+            kinds.append(OP_LOOKUP)
+        keys.append(key)
+    return np.array(kinds, dtype=np.int8), keys
+
+
+def _one_at_a_time(server, kinds, keys):
+    """Reference results: insert/lookup return the bin, delete -1."""
+    calls = {OP_INSERT: server.insert, OP_DELETE: server.delete,
+             OP_LOOKUP: server.lookup}
+    out = [calls[k](key) for k, key in zip(kinds.tolist(), keys)]
+    return np.where(kinds == OP_DELETE, -1, np.array(out, dtype=np.int64))
+
+
+#: numpy plus the C kernels when they build on this machine.
+BACKENDS = [name for name in ("numpy", "cext") if available_backends().get(name)]
+
+
+class TestBatchedEqualsOpAtATime:
+    """submit / submit_ids / enqueue+flush at any max_batch == one op at a time."""
+
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 1000)), max_size=160
+        ),
+        pool=st.integers(1, 40),
+        max_batch=st.integers(1, 70),
+        backend=st.sampled_from(BACKENDS),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_all_submission_shapes(self, picks, pool, max_batch, backend, seed):
+        kinds, keys = _legal_ops(picks, pool)
+
+        def make():
+            return _server(seed=seed, max_batch=max_batch,
+                           max_pending=max_batch + 5, backend=backend)
+
+        ref = make()
+        expected = _one_at_a_time(ref, kinds, keys)
+
+        batched = make()
+        assert batched.submit(kinds, keys).tolist() == expected.tolist()
+        assert np.array_equal(batched.loads, ref.loads)
+
+        queued = make()
+        for kind, key in zip(kinds.tolist(), keys):
+            queued.enqueue(kind, key)
+        assert queued.flush().tolist() == expected.tolist()
+        assert np.array_equal(queued.loads, ref.loads)
+
+        # the same stream by ball id: the i-th insert is ball i
+        ids, ball_of, inserted = [], {}, 0
+        for kind, key in zip(kinds.tolist(), keys):
+            if kind == OP_INSERT:
+                ball_of[key] = inserted
+                inserted += 1
+            ids.append(ball_of[key])
+        by_id = make()
+        got = by_id.submit_ids(kinds, np.array(ids, dtype=np.int64))
+        assert got.tolist() == expected.tolist()
+        assert np.array_equal(by_id.loads, ref.loads)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_insert_then_delete_in_one_block(self, backend):
+        space = RingSpace.random(64, seed=1)
+        placed = PlacementServer(space, seed=5, backend=backend).insert("k")
+        s = PlacementServer(space, seed=5, backend=backend)
+        res = s.submit([OP_INSERT, OP_DELETE], ["k", "k"])
+        assert res.tolist() == [placed, -1]
+        q = PlacementServer(space, seed=5, backend=backend)
+        q.enqueue(OP_INSERT, "k")
+        q.enqueue(OP_DELETE, "k")
+        assert q.flush().tolist() == [placed, -1]
+        assert s.occupancy == q.occupancy == 0
+
+    @pytest.mark.parametrize("max_batch", [1, 3, 64])
+    def test_submit_ids_lookup_after_delete(self, max_batch):
+        # a lookup after its ball's delete reads -1 (as
+        # IncrementalState.lookup does), in the delete's block or later
+        kinds = np.array([OP_INSERT, OP_INSERT, OP_LOOKUP, OP_DELETE,
+                          OP_LOOKUP, OP_LOOKUP, OP_DELETE, OP_LOOKUP,
+                          OP_LOOKUP], dtype=np.int8)
+        args = np.array([0, 1, 0, 0, 0, 1, 1, 1, 0], dtype=np.int64)
+        res = _server(max_batch=max_batch).submit_ids(kinds, args)
+        ref = _server()
+        bins = [ref.insert("a"), ref.insert("b")]
+        assert res.tolist() == [*bins, bins[0], -1, -1, bins[1], -1, -1, -1]
+
 class TestKeySemantics:
     def test_duplicate_insert_raises(self):
         s = _server()
@@ -120,6 +228,68 @@ class TestKeySemantics:
                 np.array([OP_INSERT], dtype=np.int8),
                 np.array([5], dtype=np.int64),
             )
+
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    @pytest.mark.parametrize("kind", [OP_DELETE, OP_LOOKUP])
+    def test_submit_ids_rejects_unassigned_ids(self, kind, max_batch):
+        # ball 1 is assigned by the insert that follows the op: too late,
+        # whatever the block split
+        for bad in (1, -1):
+            s = _server(max_batch=max_batch)
+            with pytest.raises(ValueError, match="assigned"):
+                s.submit_ids(
+                    np.array([OP_INSERT, kind, OP_INSERT], dtype=np.int8),
+                    np.array([0, bad, 1], dtype=np.int64),
+                )
+
+    def test_invalid_kinds_and_lengths(self):
+        s = _server()
+        with pytest.raises(ValueError, match="op kinds"):
+            s.submit([3], ["a"])
+        with pytest.raises(ValueError, match="op kinds"):
+            s.enqueue(7, "a")
+        with pytest.raises(ValueError, match="keys"):
+            s.submit([OP_INSERT, OP_INSERT], ["a"])
+        with pytest.raises(ValueError, match="same shape"):
+            s.submit_ids([OP_INSERT], [0, 1])
+        assert s.occupancy == 0 and s.pending == 0
+
+    def test_failed_submit_restores_key_map(self):
+        space = RingSpace.random(64, seed=1)
+        s = PlacementServer(space, seed=5)
+        with pytest.raises(KeyError):
+            s.submit([OP_INSERT, OP_LOOKUP], ["a", "zzz"])
+        with pytest.raises(KeyError):
+            s.lookup("a")  # the failed block left no trace
+        ref = PlacementServer(space, seed=5)
+        assert s.insert("b") == ref.insert("b")
+        assert s.delete("b") == ref.lookup("b")
+        assert s.occupancy == 0
+
+    def test_failed_block_restores_deleted_and_reinserted_keys(self):
+        s = _server()
+        bins = [s.insert("x"), s.insert("y")]
+        with pytest.raises(KeyError):
+            s.submit([OP_DELETE, OP_DELETE, OP_INSERT, OP_LOOKUP],
+                     ["x", "y", "y", "ghost"])
+        assert [s.lookup("x"), s.lookup("y")] == bins
+        assert s.delete("y") == bins[1] and s.occupancy == 1
+
+    def test_failed_block_keeps_earlier_blocks(self):
+        s = _server(max_batch=3)
+        with pytest.raises(KeyError):
+            # block 1 = [ins a, ins b, del a] applies; block 2 =
+            # [ins a, del ghost] fails and its insert of a is undone
+            s.submit([OP_INSERT, OP_INSERT, OP_DELETE, OP_INSERT, OP_DELETE],
+                     ["a", "b", "a", "a", "ghost"])
+        assert s.occupancy == 1
+        with pytest.raises(KeyError):
+            s.lookup("a")
+        ref = _server()
+        ref.insert("a")
+        assert s.lookup("b") == ref.insert("b")
+        ref.delete("a")
+        assert s.insert("c") == ref.insert("c")
 
 
 class TestChurn:
@@ -203,6 +373,22 @@ class TestLatencyStats:
         assert st.ops_per_s > 0
         assert "ops/s" in st.format()
 
+    def test_blocks_and_scalar_ops_fold_together(self):
+        from repro.serve.server import _LatencyRecorder
+
+        rec = _LatencyRecorder()
+        rec.record(0.008, 4)  # four ops at 2 ms each
+        rec.scalar.extend([0.001, 0.003, 0.005])
+        st = rec.stats()
+        assert st.count == 7
+        assert st.total_s == pytest.approx(0.017)
+        assert st.p50_s == pytest.approx(0.002)  # 4 of 7 ops took 2 ms
+        assert st.max_s == pytest.approx(0.005)
+        s = _server()
+        s.submit([OP_INSERT] * 3, ["a", "b", "c"])
+        s.lookup("a")
+        assert s.latency_stats().count == 4
+
     def test_empty_stats(self):
         st = _server().latency_stats()
         assert st.count == 0 and st.ops_per_s == 0.0
@@ -226,6 +412,21 @@ class TestValidation:
         state = IncrementalState(space, 2, "random")
         with pytest.raises(ValueError, match="stream"):
             PlacementServer(space, 2, state=state)
+
+    def test_predrawn_hook_gates_scalar_inserts(self):
+        from repro.core.incremental import IncrementalState
+
+        space = RingSpace.random(16, seed=9)
+        rng = np.random.default_rng(3)
+        cands, us = space.sample_choice_bins(rng, 8, 2), rng.random(8)
+        asked = []
+        stream = CandidateStream.predrawn(cands, us, ensure=asked.append)
+        s = PlacementServer(space, 2, state=IncrementalState(space, 2, "random"),
+                            stream=stream)
+        s.insert("a")
+        s.insert("b")
+        assert asked == [1, 2]  # each row is confirmed before it is read
+        assert stream.drawn == 2
 
     def test_predrawn_stream_exhaustion(self):
         space = RingSpace.random(16, seed=9)
