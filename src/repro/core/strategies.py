@@ -196,31 +196,41 @@ def decide_row_scalar(
 ) -> int:
     """Scalar twin of :func:`decide_rows` for a single ball.
 
-    ``loads_row``/``measures_row`` are length-``d`` lists (or tuples).
-    The arithmetic mirrors the vectorized kernel exactly (same floor
-    rule, same first-index preference), which is what makes the two
-    engines bit-identical.
+    ``loads_row``/``measures_row`` are length-``d`` sequences.  The
+    arithmetic mirrors the vectorized kernel exactly (same floor rule,
+    same first-index preference), which is what makes the two engines
+    bit-identical.
     """
-    min_load = min(loads_row)
-    if strategy is TieBreak.RANDOM:
-        # the floor(u*k)+1'th of the k tied indices
-        j = loads_row.index(min_load)
-        for _ in range(math.floor(u * loads_row.count(min_load))):
-            j = loads_row.index(min_load, j + 1)
-        return j
-    if strategy is TieBreak.FIRST:
-        return loads_row.index(min_load)
     d = len(loads_row)
-    if strategy is TieBreak.SMALLER:
+    min_load = min(loads_row)
+    if strategy is TieBreak.FIRST:
+        for j in range(d):
+            if loads_row[j] == min_load:
+                return j
+    elif strategy is TieBreak.RANDOM:
+        k = 0
+        for j in range(d):
+            if loads_row[j] == min_load:
+                k += 1
+        target = math.floor(u * k) + 1
+        seen = 0
+        for j in range(d):
+            if loads_row[j] == min_load:
+                seen += 1
+                if seen == target:
+                    return j
+    elif strategy is TieBreak.SMALLER:
         best_j, best_key = -1, math.inf
         for j in range(d):
             if loads_row[j] == min_load and measures_row[j] < best_key:
                 best_j, best_key = j, measures_row[j]
         return best_j
-    if strategy is TieBreak.LARGER:
+    elif strategy is TieBreak.LARGER:
         best_j, best_key = -1, -math.inf
         for j in range(d):
             if loads_row[j] == min_load and measures_row[j] > best_key:
                 best_j, best_key = j, measures_row[j]
         return best_j
-    raise AssertionError(f"unhandled strategy {strategy!r}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise AssertionError(f"unhandled strategy {strategy!r}")
+    raise AssertionError("tie-break fell through")  # pragma: no cover

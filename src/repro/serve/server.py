@@ -756,10 +756,6 @@ class PlacementServer:
         args_b = args[a:b]
         lpos = np.flatnonzero(is_lookup)
         lballs = args_b[lpos]
-        if lpos.size == b - a:
-            # every assigned ball was inserted, so the index holds its id
-            res[:] = state.ball_bin[lballs]
-            return
         mpos = np.flatnonzero(~is_lookup)
         mkinds = kinds_b[mpos]
         margs = args_b[mpos]

@@ -121,6 +121,16 @@ class TestScalarVectorAgreement:
         assert int(vec[0]) == scalar
 
     @given(_row_case())
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_accepts_array_rows(self, case):
+        """Any length-d sequence works: numpy rows decide like lists."""
+        loads, measures, u, strategy = case
+        as_arrays = decide_row_scalar(
+            np.array(loads), np.array(measures), u, strategy
+        )
+        assert as_arrays == decide_row_scalar(loads, measures, u, strategy)
+
+    @given(_row_case())
     @settings(max_examples=200, deadline=None)
     def test_choice_is_always_minimum_load(self, case):
         """Whatever the strategy, the chosen bin has minimal load."""
