@@ -28,7 +28,11 @@ import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from repro.utils.rng import resolve_rng
-from repro.utils.validation import as_float_array, check_positive_int
+from repro.utils.validation import (
+    as_float_array,
+    check_distinct_torus_points,
+    check_positive_int,
+)
 
 __all__ = [
     "toroidal_voronoi_areas",
@@ -113,11 +117,7 @@ def toroidal_voronoi_areas(points) -> np.ndarray:
         raise ValueError("points must lie in [0, 1)^2")
     if n == 1:
         return np.ones(1)
-    # duplicate detection on the torus
-    tree = cKDTree(pts, boxsize=1.0)
-    dist, _ = tree.query(pts, k=2)
-    if np.any(dist[:, 1] == 0.0):
-        raise ValueError("points must be distinct on the torus")
+    check_distinct_torus_points(pts)
 
     vor = Voronoi(_tile_3x3(pts))
     areas = np.empty(n)

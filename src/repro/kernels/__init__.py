@@ -17,14 +17,20 @@ kernels* that a compiled tier can run at memory speed:
 ``ring_assign``
     The bucket-table ring ownership lookup behind
     :meth:`repro.core.ring.RingSpace.assign`.
+``torus_assign``
+    The grid-bucket nearest-server lookup behind
+    :meth:`repro.core.torus.TorusSpace.assign` and its candidate
+    sampling on the 2-torus.  It returns exactly the server minimizing
+    the periodic squared distance as ``scipy.spatial.cKDTree`` computes
+    it, exact ties to the lowest server index (cext only).
 
 Three backends provide them:
 
 ``numpy``
-    The reference.  It carries **no** kernels (all three attributes are
-    ``None``): callers keep their existing vectorized numpy code paths,
-    which remain the semantics every other backend must reproduce
-    bit-for-bit.
+    The reference.  It carries **no** kernels (every kernel attribute
+    is ``None``): callers keep their existing vectorized numpy and
+    cKDTree code paths, which remain the semantics every other backend
+    must reproduce bit-for-bit.
 ``numba``
     ``@njit``-compiled scalar loops (optional dependency, installed via
     ``pip install repro-geometric-two-choices[fast]``).  Import is lazy:
@@ -57,8 +63,9 @@ reports attribute throughput to the backend that actually ran.
 
 All backends are interchangeable **bit-for-bit**: the parity suite
 (``tests/kernels``) checks identical placements, per-epoch dynamic
-trajectories and ring assignments against the numpy reference for
-every backend that is available.
+trajectories, ring assignments and (on inputs without exact distance
+ties) torus assignments against the numpy reference for every backend
+that is available.
 """
 
 from __future__ import annotations
@@ -124,7 +131,7 @@ class KernelBackend:
 
     Each kernel attribute is either a callable with the uniform
     signature below or ``None``, meaning "use the caller's built-in
-    numpy path" (the numpy reference backend has all three ``None``).
+    numpy path" (the numpy reference backend has all of them ``None``).
 
     ``place_block(bins, us, loads, measures, strategy_code, heights)``
         Place ``bins.shape[0]`` balls sequentially: for each row pick
@@ -163,6 +170,22 @@ class KernelBackend:
         row groups, one ``place_block`` loop per trial — trials never
         share bins, so any static partition is bit-identical to the
         serial per-trial loop.
+    ``torus_assign(pts, start, spts, sidx, grid)``
+        Nearest server on the unit 2-torus for each row of the
+        ``(q, 2)`` query array, through the grid-bucket index of
+        :func:`repro.core.torus.grid_index`: ``grid`` is the
+        power-of-two side ``G``, ``start`` (int32, ``G*G + 1``) the CSR
+        offsets of cell ``ix*G + iy``, ``spts``/``sidx`` the server rows
+        and int32 server indices in cell order.  Returns an int64
+        index array.  Exactness contract: the answer minimizes the
+        periodic squared distance computed as ``cKDTree(boxsize=1.0)``
+        computes it (per axis ``x - y``, shifted by 1.0 beyond ±0.5,
+        squared and summed in axis order from 0.0), exact ties go to
+        the lowest server index, and a coordinate of exactly 1.0 wraps
+        to 0.0.  On inputs without exact ties (random points) the
+        result therefore equals cKDTree's; cKDTree's own choice among
+        exact ties is unspecified.  ``None`` (numpy, numba) means the
+        caller queries its cKDTree.
     """
 
     name: str
@@ -170,6 +193,7 @@ class KernelBackend:
     dynamic_window: Callable | None = None
     ring_assign: Callable | None = None
     place_block_multi: Callable | None = None
+    torus_assign: Callable | None = None
 
     @property
     def is_accelerated(self) -> bool:

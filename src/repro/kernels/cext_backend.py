@@ -1,22 +1,26 @@
 """C kernel backend: scalar loops compiled on first use via ``ctypes``.
 
-The three hot-path kernels (see :mod:`repro.kernels`) are a few dozen
+The hot-path kernels (see :mod:`repro.kernels`) are a few dozen
 lines of portable C99 each.  Rather than shipping a binary wheel, the
 source is embedded here and compiled once per machine with the host C
 compiler (``$CC``, else the first of ``cc``/``gcc``/``clang`` on
 ``PATH``) into a shared library cached under
 ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro-kernels``), keyed by
-a hash of the source — editing the C invalidates the cache, re-running
-does not rebuild.  Everything degrades gracefully: no compiler, an
-unwritable cache dir, or a failed compile raise :class:`RuntimeError`,
-which the registry's auto-detection treats as "backend unavailable".
+a hash of the source and compiler flags — editing either invalidates
+the cache, re-running does not rebuild.  Everything degrades
+gracefully: no compiler, an unwritable cache dir, or a failed compile
+raise :class:`RuntimeError`, which the registry's auto-detection
+treats as "backend unavailable".
 
 The C code mirrors :func:`repro.core.strategies.decide_row_scalar`
 operation for operation (same minimum scan, same ``floor(u·k)+1``
 tie-break rule — a C cast truncates toward zero, which is ``floor``
 for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
-reference; the parity suite enforces this.
+reference; the parity suite enforces this.  ``torus_assign`` computes
+each distance as ``scipy.spatial.cKDTree`` does, and the library is
+compiled with ``-ffp-contract=off`` so that no fused multiply-add
+changes a rounding.
 """
 
 from __future__ import annotations
@@ -229,6 +233,132 @@ void repro_ring_assign(const double *pts, int64_t q, const int32_t *table,
     }
 }
 
+/* Squared periodic distance on the unit 2-torus, computed exactly as
+ * scipy's cKDTree(boxsize=1.0) computes it: per axis x - y, shifted by
+ * 1.0 when beyond +-0.5, squared and summed in axis order from 0.0
+ * (the abs cKDTree takes first cannot change a square).  The library
+ * is compiled with -ffp-contract=off, so no FMA changes the rounding. */
+static inline double torus_d2(double x, double y, const double *p)
+{
+    double dx = x - p[0], dy = y - p[1];
+    if (dx < -0.5)
+        dx += 1.0;
+    else if (dx > 0.5)
+        dx -= 1.0;
+    if (dy < -0.5)
+        dy += 1.0;
+    else if (dy > 0.5)
+        dy -= 1.0;
+    return dx * dx + dy * dy;
+}
+
+/* Fold sorted servers a <= k < b into the running (best, arg) minimum;
+ * an exact tie goes to the lower server index. */
+static inline void torus_scan(const double *spts, const int32_t *sidx,
+                              int64_t a, int64_t b, double x, double y,
+                              double *best, int64_t *arg)
+{
+    int64_t k;
+    for (k = a; k < b; k++) {
+        double d = torus_d2(x, y, spts + 2 * k);
+        int64_t j = sidx[k];
+        if (d < *best || (d == *best && j < *arg)) {
+            *best = d;
+            *arg = j;
+        }
+    }
+}
+
+/* Kernel 4: nearest server on the unit 2-torus through a g x g grid
+ * (g a power of two, so x*g is exact).  Servers are stored by cell,
+ * cell = ix*g + iy: spts holds their (x, y) rows, sidx their server
+ * indices, start[c]..start[c+1] the rows of cell c.
+ *
+ * Rings of cells at Chebyshev distance r = 0, 1, ... from the query's
+ * cell are scanned until every unscanned server is provably farther
+ * than the best one found.  Every server outside rings 0..r lies at
+ * least (r + m)/g away on the torus, m being the query's distance to
+ * the nearest side of its own cell in cell units.  Both that bound
+ * and each computed distance are within 2^-50 of their exact values
+ * per axis, so the bound is lowered by 2^-44 per axis and then by a
+ * relative 2^-40 before the strict comparison: rounding can never
+ * prune a server whose computed distance would win or tie.  Once a
+ * ring would wrap onto itself (2r + 1 > g) every server is scanned.
+ *
+ * A query coordinate of exactly 1.0 (the partitioned slab formula can
+ * round up to it) wraps to 0.0, as cKDTree wraps its queries. */
+void repro_torus_assign(const double *pts, int64_t q, const int32_t *start,
+                        const double *spts, const int32_t *sidx, int64_t g,
+                        int64_t *out)
+{
+    const double gd = (double)g, slack = 0x1p-44, keep = 1.0 - 0x1p-40;
+    const int64_t mask = g - 1, n = start[g * g];
+    int64_t i;
+    for (i = 0; i < q; i++) {
+        double x = pts[2 * i], y = pts[2 * i + 1];
+        if (x >= 1.0)
+            x -= 1.0;
+        if (y >= 1.0)
+            y -= 1.0;
+        double fx = x * gd, fy = y * gd;
+        int64_t cx = (int64_t)fx, cy = (int64_t)fy, r, t;
+        double mx = fx - (double)cx, my = fy - (double)cy;
+        cx &= mask; /* a no-op on [0, 1); keeps any input in bounds */
+        cy &= mask;
+        double m = mx < 1.0 - mx ? mx : 1.0 - mx;
+        if (my < m)
+            m = my;
+        if (1.0 - my < m)
+            m = 1.0 - my;
+        double best = HUGE_VAL;
+        int64_t arg = INT64_MAX;
+        for (r = 0;; r++) {
+            if (2 * r + 1 > g) {
+                torus_scan(spts, sidx, 0, n, x, y, &best, &arg);
+                break;
+            }
+            if (r == 0) {
+                int64_t c = cx * g + cy;
+                torus_scan(spts, sidx, start[c], start[c + 1], x, y, &best,
+                           &arg);
+            } else {
+                /* rows ix = cx - r and cx + r: iy spans 2r + 1 cells,
+                 * contiguous in storage unless they wrap past g - 1 */
+                int64_t lo = (cy - r) & mask, hi = lo + 2 * r, side;
+                for (side = -1; side <= 1; side += 2) {
+                    int64_t row = ((cx + side * r) & mask) * g;
+                    if (hi < g) {
+                        torus_scan(spts, sidx, start[row + lo],
+                                   start[row + hi + 1], x, y, &best, &arg);
+                    } else {
+                        torus_scan(spts, sidx, start[row + lo],
+                                   start[row + g], x, y, &best, &arg);
+                        torus_scan(spts, sidx, start[row],
+                                   start[row + hi - g + 1], x, y, &best,
+                                   &arg);
+                    }
+                }
+                /* rows strictly between: the two end cells iy = cy -+ r */
+                for (t = 1 - r; t < r; t++) {
+                    int64_t row = ((cx + t) & mask) * g;
+                    int64_t c0 = row + ((cy - r) & mask);
+                    int64_t c1 = row + ((cy + r) & mask);
+                    torus_scan(spts, sidx, start[c0], start[c0 + 1], x, y,
+                               &best, &arg);
+                    torus_scan(spts, sidx, start[c1], start[c1 + 1], x, y,
+                               &best, &arg);
+                }
+            }
+            if (2 * r + 1 == g)
+                break; /* rings 0..r cover the whole grid */
+            double e = ((double)r + m) / gd - slack;
+            if (e > 0.0 && best < e * e * keep)
+                break;
+        }
+        out[i] = arg;
+    }
+}
+
 /* ---------------- thread-parallel variants (pthreads) ----------------
  *
  * Work is partitioned STATICALLY into contiguous row groups (earlier
@@ -394,9 +524,17 @@ def _find_compiler() -> str:
     )
 
 
+#: Compiler flags.  ``-ffp-contract=off`` keeps every multiply-add a
+#: rounded multiply then a rounded add, as the numpy and scipy reference
+#: paths compute them (an FMA would change ``torus_assign`` distances).
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+
+
 def _compile_library() -> Path:
-    """Compile the kernel library (cached by source hash) and return it."""
-    digest = hashlib.blake2b(C_SOURCE.encode(), digest_size=16).hexdigest()
+    """Compile the kernel library (cached by source and flags) and return it."""
+    digest = hashlib.blake2b(
+        (C_SOURCE + " ".join(_CFLAGS)).encode(), digest_size=16
+    ).hexdigest()
     libname = f"repro_kernels_{digest}.so"
     for base in (_cache_dir(), Path(tempfile.gettempdir()) / "repro-kernels"):
         libpath = base / libname
@@ -409,7 +547,7 @@ def _compile_library() -> Path:
             src.write_text(C_SOURCE, encoding="utf-8")
             tmp = base / f".{libname}.{os.getpid()}.tmp"
             proc = subprocess.run(
-                [cc, "-O3", "-fPIC", "-shared", "-pthread", "-o", str(tmp), str(src)],
+                [cc, *_CFLAGS, "-o", str(tmp), str(src)],
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -475,6 +613,8 @@ def build_backend():
         _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64,
     ]
     lib.repro_ring_assign_par.restype = None
+    lib.repro_torus_assign.argtypes = [_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR]
+    lib.repro_torus_assign.restype = None
 
     def place_block(bins, us, loads, measures, strategy_code, heights):
         """C kernel for one block of sequential greedy placements."""
@@ -536,6 +676,31 @@ def build_backend():
             )
         return out
 
+    def torus_assign(pts, start, spts, sidx, grid):
+        """C kernel for the grid-bucket nearest server on the 2-torus."""
+        pts = _as_c(pts, np.float64).reshape(-1, 2)
+        start = _as_c(start, np.int32)
+        spts = _as_c(spts, np.float64)
+        sidx = _as_c(sidx, np.int32)
+        grid = int(grid)
+        if (
+            grid < 1
+            or grid & (grid - 1)
+            or start.shape != (grid * grid + 1,)
+            or spts.shape != (sidx.size, 2)
+            or start[-1] != sidx.size
+        ):
+            raise ValueError(
+                "torus_assign needs a power-of-two grid with grid*grid + 1 "
+                "offsets ending at the number of (x, y) server rows"
+            )
+        q = pts.shape[0]
+        out = np.empty(q, dtype=np.int64)
+        lib.repro_torus_assign(
+            _p(pts), q, _p(start), _p(spts), _p(sidx), grid, _p(out),
+        )
+        return out
+
     def place_block_multi(
         bins3, us2, loads2, measures2, strategy_code, heights2, pos, threads
     ):
@@ -568,4 +733,5 @@ def build_backend():
         dynamic_window=dynamic_window,
         ring_assign=ring_assign,
         place_block_multi=place_block_multi,
+        torus_assign=torus_assign,
     )

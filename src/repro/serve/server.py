@@ -493,8 +493,10 @@ class PlacementServer:
         validates it for traces; this method re-checks) — and each
         delete or lookup arg must be a ball id assigned before that op
         (``ValueError`` otherwise, raised before the failing block is
-        applied).  A delete must target a placed ball; a lookup of a
-        ball already deleted yields ``-1``, as
+        applied).  A delete must target a ball still placed at that op:
+        one deleted in an earlier block, or twice within a block, is
+        rejected the same way.  A lookup of a ball already deleted
+        yields ``-1``, as
         :meth:`~repro.core.incremental.IncrementalState.lookup` does.
         No key map is touched.
         """
@@ -530,10 +532,39 @@ class PlacementServer:
                         "submit_ids delete/lookup args must be ball ids assigned "
                         "before the op"
                     )
+                dels = block[kinds[a:b] == OP_DELETE]
+                if dels.size and not self._deletes_placed(dels, ball0, ball0 + n_ins):
+                    raise ValueError(
+                        "submit_ids delete args must name balls still placed "
+                        "at the op (each ball is deleted at most once)"
+                    )
             self._next_ball = ball0 + n_ins
             self._apply_block(kinds, args, a, b, results, ball0)
             self._record(perf_counter() - t0, b - a)
         return results
+
+    def _deletes_placed(self, dels: np.ndarray, ball0: int, next_ball: int) -> bool:
+        """Whether a block's delete targets are distinct and each placed
+        at its op, given that each names a ball assigned before it.
+
+        A ball from before the block (id ``< ball0``) must still be
+        placed; one inserted in the block is placed until its first
+        delete.  Distinctness is
+        checked in O(k) without a sort: each target's ``ball_bin`` entry
+        is marked with its own position and read back (a repeated target
+        reads a later mark), then restored.
+        """
+        state = self.state
+        state.reserve(next_ball)
+        ball_bin = state.ball_bin
+        saved = ball_bin[dels]
+        if (saved[dels < ball0] < 0).any():
+            return False
+        marks = -2 - np.arange(dels.size, dtype=np.int64)
+        ball_bin[dels] = marks
+        distinct = np.array_equal(ball_bin[dels], marks)
+        ball_bin[dels] = saved
+        return distinct
 
     # ------------------------------------------------------------------
     # queued submission with backpressure

@@ -17,6 +17,7 @@ __all__ = [
     "check_unit_interval",
     "check_dimension",
     "as_float_array",
+    "check_distinct_torus_points",
 ]
 
 
@@ -79,3 +80,16 @@ def as_float_array(values: object, name: str, ndim: int | None = None) -> np.nda
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def check_distinct_torus_points(pts: np.ndarray) -> None:
+    """Raise ``ValueError`` when two rows of an ``(n, k)`` point array are equal.
+
+    For points in ``[0, 1)^k`` two rows are at toroidal distance 0
+    exactly when they are equal, so this is the torus duplicate rule.
+    Exact and ``O(n log n)``: the rows are sorted with
+    :func:`numpy.lexsort` and neighbours compared.
+    """
+    rows = pts[np.lexsort(pts.T[::-1])]
+    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+        raise ValueError("points must be distinct on the torus")

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import torus_nearest_oracle as _oracle
 from repro.core.torus import TorusSpace
+from repro.kernels import default_backend
+
+#: Exact distance ties are only pinned on the grid kernel: the cKDTree
+#: reference path breaks them in tree order.
+needs_torus_kernel = pytest.mark.skipif(
+    default_backend().torus_assign is None,
+    reason="the active backend has no torus_assign kernel",
+)
 
 
 class TestConstruction:
@@ -20,6 +29,17 @@ class TestConstruction:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
             TorusSpace([[0.5, 0.5], [0.5, 0.5]])
+
+    def test_rejects_duplicates_far_apart_in_input_order(self):
+        for dim in (1, 2, 3):
+            pts = np.random.default_rng(8).random((500, dim))
+            pts[-1] = pts[3]
+            with pytest.raises(ValueError, match="distinct"):
+                TorusSpace(pts)
+
+    def test_rows_sharing_a_coordinate_are_distinct(self):
+        t = TorusSpace([[0.5, 0.1], [0.1, 0.5], [0.5, 0.2], [0.1, 0.1]])
+        assert t.n == 4
 
     def test_rejects_big_dimension(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -51,6 +71,72 @@ class TestAssign:
     def test_rejects_out_of_range_points(self, small_torus):
         with pytest.raises(ValueError):
             small_torus.assign(np.array([[1.0, 0.5]]))
+
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_inputs_match_brute_force(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t = TorusSpace(rng.random((n, 2)))
+        queries = rng.random((300, 2))
+        np.testing.assert_array_equal(t.assign(queries), _oracle(t.points, queries))
+
+    @needs_torus_kernel
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                 min_size=1, max_size=30, unique=True),
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_ties_go_to_the_lowest_index(self, servers, queries):
+        # servers on an 8-lattice, queries on a 16-lattice: exact ties,
+        # points on grid-cell edges and at 0.0
+        t = TorusSpace(np.array(servers, dtype=np.float64) / 8)
+        q = np.array(queries, dtype=np.float64).reshape(-1, 2) / 16
+        np.testing.assert_array_equal(t.assign(q), _oracle(t.points, q))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_grids(self, n, rng):
+        t = TorusSpace.random(n, seed=40 + n)
+        queries = np.vstack([[[0.0, 0.0]], rng.random((2000, 2))])
+        np.testing.assert_array_equal(t.assign(queries), _oracle(t.points, queries))
+
+    def test_all_servers_in_one_grid_cell(self, rng):
+        # 64 servers inside one 1/256-wide square: far queries search
+        # every ring of the 16 x 16 grid
+        t = TorusSpace(0.3 + rng.random((64, 2)) / 256)
+        queries = rng.random((3000, 2))
+        np.testing.assert_array_equal(t.assign(queries), _oracle(t.points, queries))
+
+    @needs_torus_kernel
+    def test_servers_and_queries_on_cell_edges(self):
+        # n = 64 gives a 16 x 16 grid: servers on an 8-lattice and queries
+        # on a 16-lattice, all on cell edges, 0.0 included
+        edge = np.arange(16) / 16
+        t = TorusSpace(np.column_stack([np.repeat(edge[::2], 8),
+                                        np.tile(edge[::2], 8)]))
+        assert t._grid_index()[0] == 16
+        q = np.column_stack([np.repeat(edge, 16), np.tile(edge, 16)])
+        np.testing.assert_array_equal(t.assign(q), _oracle(t.points, q))
+
+    def test_queries_across_the_seam(self, rng):
+        servers = np.vstack([
+            np.column_stack([0.99 + rng.random(20) * 0.0099, rng.random(20)]),
+            np.column_stack([rng.random(20), 0.99 + rng.random(20) * 0.0099]),
+            rng.random((20, 2)) * 0.5 + 0.25,
+        ])
+        t = TorusSpace(servers)
+        q = np.vstack([
+            np.column_stack([rng.random(500) * 0.01, rng.random(500)]),
+            np.column_stack([rng.random(500), rng.random(500) * 0.01]),
+            rng.random((500, 2)) * 0.01,
+        ])
+        np.testing.assert_array_equal(t.assign(q), _oracle(t.points, q))
+
+    def test_assign_keeps_the_query_shape(self, small_torus, rng):
+        q = rng.random((3, 5, 2))
+        got = small_torus.assign(q)
+        assert got.shape == (3, 5) and got.dtype == np.int64
+        np.testing.assert_array_equal(got.ravel(), small_torus.assign(q.reshape(-1, 2)))
 
     def test_assignment_matches_brute_force(self, small_torus, rng):
         queries = rng.random((200, 2))

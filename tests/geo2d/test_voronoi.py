@@ -47,6 +47,10 @@ class TestToroidalVoronoiAreas:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
             toroidal_voronoi_areas([[0.1, 0.1], [0.1, 0.1]])
+        pts = np.random.default_rng(2).random((200, 2))
+        pts[-1] = pts[0]  # far apart in input order
+        with pytest.raises(ValueError, match="distinct"):
+            toroidal_voronoi_areas(pts)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,20 @@ __all__ = [
     "assert_dynamics_equal",
     "scalar_steady_state_trace",
     "scalar_validate_replay",
+    "torus_nearest_oracle",
 ]
+
+
+def torus_nearest_oracle(points, queries) -> np.ndarray:
+    """Brute-force nearest server on the unit torus for each query row.
+
+    The squared distances are bit-identical to cKDTree's periodic ones
+    (``1 - d`` past 0.5 has the magnitude of cKDTree's ``d - 1``), and
+    ``argmin`` gives exact ties to the lowest server index.
+    """
+    d = np.abs(queries[:, None, :] - points[None, :, :])
+    d = np.minimum(d, 1 - d)
+    return np.argmin((d**2).sum(axis=2), axis=1)
 
 
 def build_space(kind: str, n: int, seed: int, *, dim: int = 2):

@@ -242,6 +242,36 @@ class TestKeySemantics:
                     np.array([0, bad, 1], dtype=np.int64),
                 )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("max_batch", [1, 8, 64])
+    def test_submit_ids_rejects_deleting_an_unplaced_ball(self, backend, max_batch):
+        # ball 5 deleted in an earlier call, or a ball deleted twice
+        # within one call: the failing block is rejected before it is
+        # applied (blocks before it in the call are applied) and the
+        # state stays consistent
+        for kinds, args in (
+            ([OP_DELETE], [5]),
+            ([OP_LOOKUP, OP_DELETE], [7, 5]),
+            ([OP_DELETE, OP_DELETE], [9, 9]),
+            ([OP_INSERT, OP_DELETE, OP_DELETE], [80, 80, 80]),
+        ):
+            s = _server(max_batch=max_batch, backend=backend)
+            s.submit_ids(np.zeros(80, dtype=np.int8),
+                         np.arange(80, dtype=np.int64))
+            s.submit_ids(np.array([OP_DELETE], dtype=np.int8),
+                         np.array([5], dtype=np.int64))
+            before = s.state.loads.copy()
+            with pytest.raises(ValueError, match="still placed"):
+                s.submit_ids(np.array(kinds, dtype=np.int8),
+                             np.array(args, dtype=np.int64))
+            s.state.check()
+            if len(kinds) <= max_batch or kinds[0] == OP_LOOKUP:
+                assert np.array_equal(s.state.loads, before)
+                assert s.occupancy == 79
+            # a lookup of the deleted ball is still legal and reads -1
+            assert s.submit_ids(np.array([OP_LOOKUP], dtype=np.int8),
+                                np.array([5], dtype=np.int64)).tolist() == [-1]
+
     def test_invalid_kinds_and_lengths(self):
         s = _server()
         with pytest.raises(ValueError, match="op kinds"):
