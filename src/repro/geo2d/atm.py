@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.loads import load_histogram, load_imbalance, max_load
 from repro.core.strategies import TieBreak, decide_row_scalar
+from repro.core.torus import TorusSpace
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import as_float_array, check_positive_int
 
@@ -55,7 +55,9 @@ class AtmAssignmentModel:
     Parameters
     ----------
     machines:
-        ``(n, 2)`` machine locations in ``[0, 1)^2`` (torus).
+        ``(n, 2)`` distinct machine locations in ``[0, 1)^2`` (torus).
+        Nearest-machine queries go through :class:`TorusSpace`, so they
+        reach the ``torus_assign`` kernel where the backend has one.
 
     Examples
     --------
@@ -72,17 +74,18 @@ class AtmAssignmentModel:
         pts = as_float_array(machines, "machines", ndim=2)
         if pts.shape[1] != 2:
             raise ValueError(f"machines must have shape (n, 2), got {pts.shape}")
-        if np.any((pts < 0.0) | (pts >= 1.0)):
-            raise ValueError("machines must lie in [0, 1)^2")
+        self._space = TorusSpace(pts)
         self.machines = pts
         self.n = int(pts.shape[0])
-        self._tree = cKDTree(pts, boxsize=1.0)
 
     def nearest_machine(self, locations) -> np.ndarray:
-        """Index of the nearest machine (toroidal metric) per location."""
+        """Index of the nearest machine (toroidal metric) per location.
+
+        Locations must lie in ``[0, 1)^2``, as :meth:`TorusSpace.assign`
+        requires; the result has the shape of ``locations[..., 0]``.
+        """
         locs = as_float_array(locations, "locations")
-        _, idx = self._tree.query(locs)
-        return np.asarray(idx, dtype=np.int64)
+        return self._space.assign(locs).reshape(locs.shape[:-1])
 
     def assign(
         self,
@@ -117,9 +120,7 @@ class AtmAssignmentModel:
         # measures for smaller/larger tie-breaks: exact Voronoi areas
         measures = None
         if strat in (TieBreak.SMALLER, TieBreak.LARGER):
-            from repro.geo2d.voronoi import toroidal_voronoi_areas
-
-            measures = toroidal_voronoi_areas(self.machines)
+            measures = self._space.region_measures()
 
         loads = np.zeros(self.n, dtype=np.int64)
         assignments = np.empty(m, dtype=np.int64)

@@ -23,6 +23,11 @@ kernels* that a compiled tier can run at memory speed:
     sampling on the 2-torus.  It returns exactly the server minimizing
     the periodic squared distance as ``scipy.spatial.cKDTree`` computes
     it, exact ties to the lowest server index (cext only).
+``chord_route``
+    Chord's closest-preceding-finger step behind
+    :meth:`repro.net.simulator.NetSim._route`: per query, the
+    highest finger column whose peer lies strictly between the current
+    peer and the target on the uint64 identifier ring (cext only).
 
 Three backends provide them:
 
@@ -186,6 +191,18 @@ class KernelBackend:
         result therefore equals cKDTree's; cKDTree's own choice among
         exact ties is unspecified.  ``None`` (numpy, numba) means the
         caller queries its cKDTree.
+    ``chord_route(cur, target, fingers, ids)``
+        Closest preceding finger of each query: ``cur`` (int64) and
+        ``target`` (uint64) are equal-length vectors, ``fingers`` the
+        ``(S, F)`` int64 finger table (``-1`` for an empty entry) and
+        ``ids`` the ``S`` uint64 peer identifiers.  For row ``i`` the
+        fingers of ``cur[i]`` are scanned from column ``F - 1`` down and
+        the first ``f >= 0`` with ``ids[f] - ids[cur[i]] - 1 <
+        target[i] - ids[cur[i]] - 1`` (wrapping) is returned, else
+        ``-1``: exactly the column the numpy ``NetSim._route`` picks.
+        A ``cur`` or a scanned finger outside ``[0, S)`` raises
+        :class:`ValueError`; nothing is read out of bounds.  ``None``
+        (numpy, numba) means the caller runs its numpy reference.
     """
 
     name: str
@@ -194,6 +211,7 @@ class KernelBackend:
     ring_assign: Callable | None = None
     place_block_multi: Callable | None = None
     torus_assign: Callable | None = None
+    chord_route: Callable | None = None
 
     @property
     def is_accelerated(self) -> bool:

@@ -359,6 +359,42 @@ void repro_torus_assign(const double *pts, int64_t q, const int32_t *start,
     }
 }
 
+/* Kernel 5: Chord closest-preceding-finger routing.  For each query i,
+ * scan the finger row of peer cur[i] (fingers is s x f, slot-indexed)
+ * from column f - 1 down and pick the first finger x >= 0 whose id lies
+ * in (ids[cur], target): with wrapping uint64 arithmetic that is
+ * ids[x] - cid - 1 < target - cid - 1, so a finger equal to cur (offset
+ * 2^64 - 1) never qualifies.  out[i] = the finger, or -1 if none does.
+ * Every cur and every finger read is checked against s first; returns
+ * 0, or i + 1 for the first query whose cur or a read finger is out of
+ * range (nothing is read out of bounds). */
+int64_t repro_chord_route(const int64_t *cur, const uint64_t *target,
+                          int64_t q, const int64_t *fingers, int64_t f,
+                          const uint64_t *ids, int64_t s, int64_t *out)
+{
+    int64_t i, j;
+    for (i = 0; i < q; i++) {
+        int64_t c = cur[i], pick = -1;
+        if (c < 0 || c >= s)
+            return i + 1;
+        const int64_t *row = fingers + c * f;
+        uint64_t cid1 = ids[c] + 1, lim = target[i] - cid1;
+        for (j = f - 1; j >= 0; j--) {
+            int64_t x = row[j];
+            if (x < 0)
+                continue;
+            if (x >= s)
+                return i + 1;
+            if (ids[x] - cid1 < lim) {
+                pick = x;
+                break;
+            }
+        }
+        out[i] = pick;
+    }
+    return 0;
+}
+
 /* ---------------- thread-parallel variants (pthreads) ----------------
  *
  * Work is partitioned STATICALLY into contiguous row groups (earlier
@@ -615,6 +651,8 @@ def build_backend():
     lib.repro_ring_assign_par.restype = None
     lib.repro_torus_assign.argtypes = [_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR]
     lib.repro_torus_assign.restype = None
+    lib.repro_chord_route.argtypes = [_PTR, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR]
+    lib.repro_chord_route.restype = _I64
 
     def place_block(bins, us, loads, measures, strategy_code, heights):
         """C kernel for one block of sequential greedy placements."""
@@ -701,6 +739,34 @@ def build_backend():
         )
         return out
 
+    def chord_route(cur, target, fingers, ids):
+        """C kernel for Chord's closest preceding finger of each query."""
+        cur = _as_c(cur, np.int64)
+        target = _as_c(target, np.uint64)
+        fingers = _as_c(fingers, np.int64)
+        ids = _as_c(ids, np.uint64)
+        if (
+            cur.ndim != 1
+            or target.shape != cur.shape
+            or fingers.ndim != 2
+            or ids.shape != (fingers.shape[0],)
+        ):
+            raise ValueError(
+                "chord_route needs equal-length cur and target vectors, an "
+                "(S, F) finger table and S identifiers"
+            )
+        out = np.empty(cur.size, dtype=np.int64)
+        bad = lib.repro_chord_route(
+            _p(cur), _p(target), cur.size, _p(fingers), fingers.shape[1],
+            _p(ids), ids.size, _p(out),
+        )
+        if bad:
+            raise ValueError(
+                f"chord_route query {bad - 1}: peer {int(cur[bad - 1])} or one "
+                f"of its fingers is outside [0, {ids.size})"
+            )
+        return out
+
     def place_block_multi(
         bins3, us2, loads2, measures2, strategy_code, heights2, pos, threads
     ):
@@ -734,4 +800,5 @@ def build_backend():
         ring_assign=ring_assign,
         place_block_multi=place_block_multi,
         torus_assign=torus_assign,
+        chord_route=chord_route,
     )

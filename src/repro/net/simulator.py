@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dht.hashing import RING_BITS
+from repro.kernels import default_backend
 from repro.net.messages import EventLog, FindMode, MsgBatch, MsgKind
 from repro.net.stats import NetMetrics
 from repro.utils.rng import resolve_rng
@@ -53,17 +54,30 @@ from repro.utils.validation import check_positive_int
 __all__ = ["NetConfig", "NetSim"]
 
 
+_ONE = np.uint64(1)
+
+
 def _in_open(x, a, b):
-    """Elementwise ``x ∈ (a, b)`` on the uint64 identifier ring."""
-    return np.where(a < b, (x > a) & (x < b),
-                    np.where(a > b, (x > a) | (x < b), x != a))
+    """Elementwise ``x ∈ (a, b)`` on the uint64 identifier ring.
+
+    With wrapping arithmetic, ``x ∈ (a, b)`` iff the clockwise offset
+    ``x - a - 1`` is below ``b - a - 1``.  At ``a == b`` the bound is
+    ``2**64 - 1``, so the interval is the whole ring minus ``a``.  All
+    operands must be uint64; a caller passing numpy scalars wraps the
+    call in ``np.errstate(over="ignore")``.
+    """
+    a1 = a + _ONE
+    return (x - a1) < (b - a1)
 
 
 def _in_ropen(x, a, b):
-    """Elementwise ``x ∈ (a, b]`` on the uint64 identifier ring."""
-    lt = (x > a) & (x <= b)
-    wrap = (x > a) | (x <= b)
-    return np.where(a < b, lt, np.where(a > b, wrap, True))
+    """Elementwise ``x ∈ (a, b]`` on the uint64 identifier ring.
+
+    The offset test of :func:`_in_open` with ``<=``: at ``a == b`` the
+    interval is the whole ring.
+    """
+    a1 = a + _ONE
+    return (x - a1) <= (b - a1)
 
 
 @dataclass(frozen=True)
@@ -313,7 +327,8 @@ class NetSim:
             return sorted(held)
         a, b = self.ids[p], self.ids[slot]
         keys = np.fromiter(held, dtype=np.uint64, count=len(held))
-        mask = _in_ropen(keys, a, b)
+        with np.errstate(over="ignore"):
+            mask = _in_ropen(keys, a, b)
         return sorted(int(k) for k in keys[mask])
 
     def _replica_targets(self, slot: int) -> list[int]:
@@ -625,10 +640,10 @@ class NetSim:
             # jump it exponentially close in one adoption.
             mu = u[m]
             fng = self.fingers[mu]
-            okf = (fng >= 0) & (fng != mu[:, None])
             fid = self.ids[np.maximum(fng, 0)]
-            inside = okf & _in_open(fid, self.ids[mu][:, None],
-                                    self.ids[s0[m]][:, None])
+            # a finger equal to mu is never inside (mu, succ0)
+            inside = (fng >= 0) & _in_open(fid, self.ids[mu][:, None],
+                                           self.ids[s0[m]][:, None])
             has = inside.any(axis=1)
             if has.any():
                 first = np.argmax(inside, axis=1)
@@ -855,24 +870,32 @@ class NetSim:
         held = self.store[s]
         if held:
             keys = np.fromiter(held, dtype=np.uint64, count=len(held))
-            outside = ~_in_ropen(keys, self.ids[u], self.ids[s])
+            with np.errstate(over="ignore"):
+                outside = ~_in_ropen(keys, self.ids[u], self.ids[s])
             moved = sorted(int(k) for k in keys[outside])
             if moved:
                 self._send_side(("copy", u, tuple(moved)))
         self._replicate_owned(s)
 
     def _route(self, cur: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Closest preceding valid finger of each (cur, target); -1 if none."""
+        """Closest preceding valid finger of each (cur, target); -1 if none.
+
+        Runs the ``chord_route`` kernel when the default backend has
+        one; the numpy body below is the reference it reproduces.
+        """
+        kernel = default_backend().chord_route
+        if kernel is not None:
+            return kernel(cur, target, self.fingers, self.ids)
         out = np.full(cur.size, -1, dtype=np.int64)
         F = self.cfg.n_fingers
         for lo in range(0, cur.size, _ROUTE_CHUNK):
             sl = slice(lo, min(lo + _ROUTE_CHUNK, cur.size))
             c = cur[sl]
             f = self.fingers[c]  # (m, F)
-            valid = (f >= 0) & (f != c[:, None])
             fid = self.ids[np.maximum(f, 0)]
-            okm = valid & _in_open(fid, self.ids[c][:, None],
-                                   target[sl][:, None])
+            # a finger equal to c has offset 2**64 - 1: never inside
+            okm = (f >= 0) & _in_open(fid, self.ids[c][:, None],
+                                      target[sl][:, None])
             has = okm.any(axis=1)
             best = F - 1 - np.argmax(okm[:, ::-1], axis=1)
             picked = f[np.arange(f.shape[0]), best]
@@ -1003,15 +1026,31 @@ class NetSim:
             ))
 
     def _scrub(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Remove dead peer ``v[i]`` from ``u[i]``'s local state, rowwise."""
+        """Remove dead peer ``v[i]`` from ``u[i]``'s local state, in order.
+
+        A survivor repeated in one batch would lose scrubs to a
+        conflicting scatter, so the batch runs in rounds by occurrence
+        rank: round ``r`` applies every survivor's ``r``-th scrub.  The
+        survivors of one round are distinct and touch disjoint rows, so
+        the rounds equal applying the rows one at a time.
+        """
         if u.size == 0:
             return
-        if np.unique(u).size != u.size:
-            # duplicate survivors in one batch: apply sequentially so no
-            # scrub is lost to a conflicting scatter
-            for i in range(u.size):
-                self._scrub(u[i:i + 1], v[i:i + 1])
+        order = np.argsort(u, kind="stable")
+        su = u[order]
+        new = np.concatenate(([True], su[1:] != su[:-1]))
+        if new.all():
+            self._scrub_distinct(u, v)
             return
+        pos = np.arange(u.size)
+        rank = np.empty(u.size, dtype=np.int64)
+        rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
+        for r in range(int(rank.max()) + 1):
+            sel = np.flatnonzero(rank == r)
+            self._scrub_distinct(u[sel], v[sel])
+
+    def _scrub_distinct(self, u: np.ndarray, v: np.ndarray) -> None:
+        """:meth:`_scrub` for a batch whose survivors ``u`` are distinct."""
         fm = self.fingers[u]
         hit = fm == v[:, None]
         if hit.any():
@@ -1165,7 +1204,8 @@ class NetSim:
         if p < 0 or p == dst:
             return
         arr = np.fromiter(added, dtype=np.uint64, count=len(added))
-        outside = ~_in_ropen(arr, self.ids[p], self.ids[dst])
+        with np.errstate(over="ignore"):
+            outside = ~_in_ropen(arr, self.ids[p], self.ids[dst])
         if outside.any():
             moved = tuple(sorted(int(k) for k in arr[outside]))
             self._send_side(("copy", p, moved))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.geo2d.atm import AtmAssignmentModel
 from repro.geo2d.pointsets import clustered_points, uniform_points
+from repro.kernels import available_backends
 
 
 @pytest.fixture
@@ -21,6 +22,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AtmAssignmentModel([[0.5, 1.2]])
 
+    def test_rejects_duplicate_machines(self):
+        with pytest.raises(ValueError, match="distinct on the torus"):
+            AtmAssignmentModel([[0.25, 0.5], [0.75, 0.125], [0.25, 0.5]])
+
 
 class TestNearestMachine:
     def test_matches_torus_metric(self, model):
@@ -31,6 +36,22 @@ class TestNearestMachine:
             d = np.abs(pts - loc)
             d = np.minimum(d, 1 - d)
             assert got == int(np.argmin((d**2).sum(axis=1)))
+
+    def test_single_location_and_range(self, model):
+        one = model.nearest_machine([0.5, 0.5])
+        assert one.shape == () and one == model.nearest_machine([[0.5, 0.5]])[0]
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            model.nearest_machine([[1.05, 0.5]])
+
+    @pytest.mark.parametrize(
+        "backend", [n for n, ok in available_backends().items() if ok])
+    def test_same_on_every_backend(self, model, backend, monkeypatch):
+        """The torus_assign kernel (cext) and cKDTree (numpy) agree."""
+        locs = uniform_points(500, seed=16)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        ref = model.nearest_machine(locs)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        np.testing.assert_array_equal(model.nearest_machine(locs), ref)
 
 
 class TestAssign:

@@ -43,26 +43,36 @@ pytestmark = pytest.mark.skipif(
 STRATEGIES = list(TieBreak)
 
 
-def _fused_pair(backend_name, space_cls, strategy, *, t=4, n=192, m=260,
-                d=3, partitioned=False, seed0=50):
+def _fused_pair(backend_name, space_cls, strategy, monkeypatch, *, t=4,
+                n=192, m=260, d=3, partitioned=False, seed0=50):
+    """A fused cell on the numpy reference and on ``backend_name``.
+
+    Each side pins ``REPRO_KERNEL_BACKEND``, not just ``backend=``:
+    the spaces' ``assign`` lookups (``ring_assign``, ``torus_assign``)
+    follow the environment alone, so the kwarg would leave both sides
+    on the same lookup path.
+    """
     spaces = [space_cls.random(n, seed=seed0 + i) for i in range(t)]
 
-    def run(backend):
+    def run(name):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
         rngs = [np.random.default_rng(1000 + i) for i in range(t)]
         return run_fused(
             spaces, m, d, strategy, rngs,
-            partitioned=partitioned, record_heights=True, backend=backend,
+            partitioned=partitioned, record_heights=True,
+            backend=get_backend(name),
         )
 
-    return run("numpy"), run(get_backend(backend_name))
+    return run("numpy"), run(backend_name)
 
 
 @pytest.mark.parametrize("backend_name", ACCELERATED)
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
 @pytest.mark.parametrize("space_cls", [RingSpace, TorusSpace])
-def test_fused_placement_parity(backend_name, strategy, space_cls):
+def test_fused_placement_parity(backend_name, strategy, space_cls,
+                                monkeypatch):
     (loads_np, heights_np), (loads_k, heights_k) = _fused_pair(
-        backend_name, space_cls, strategy
+        backend_name, space_cls, strategy, monkeypatch
     )
     np.testing.assert_array_equal(loads_np, loads_k)
     np.testing.assert_array_equal(heights_np, heights_k)
@@ -70,27 +80,29 @@ def test_fused_placement_parity(backend_name, strategy, space_cls):
 
 @pytest.mark.parametrize("backend_name", ACCELERATED)
 @pytest.mark.parametrize("d", [1, 2, 4])
-def test_fused_placement_parity_over_d(backend_name, d):
+def test_fused_placement_parity_over_d(backend_name, d, monkeypatch):
     (loads_np, heights_np), (loads_k, heights_k) = _fused_pair(
-        backend_name, RingSpace, TieBreak.RANDOM, d=d
+        backend_name, RingSpace, TieBreak.RANDOM, monkeypatch, d=d
     )
     np.testing.assert_array_equal(loads_np, loads_k)
     np.testing.assert_array_equal(heights_np, heights_k)
 
 
 @pytest.mark.parametrize("backend_name", ACCELERATED)
-def test_fused_placement_parity_partitioned(backend_name):
+def test_fused_placement_parity_partitioned(backend_name, monkeypatch):
     (loads_np, _), (loads_k, _) = _fused_pair(
-        backend_name, RingSpace, TieBreak.FIRST, partitioned=True, d=2
+        backend_name, RingSpace, TieBreak.FIRST, monkeypatch,
+        partitioned=True, d=2
     )
     np.testing.assert_array_equal(loads_np, loads_k)
 
 
 @pytest.mark.parametrize("backend_name", ACCELERATED)
 @pytest.mark.parametrize("seed", [0, 1, 2026])
-def test_fused_placement_parity_over_seeds(backend_name, seed):
+def test_fused_placement_parity_over_seeds(backend_name, seed, monkeypatch):
     (loads_np, _), (loads_k, _) = _fused_pair(
-        backend_name, RingSpace, TieBreak.RANDOM, seed0=seed, t=3, n=640, m=900
+        backend_name, RingSpace, TieBreak.RANDOM, monkeypatch,
+        seed0=seed, t=3, n=640, m=900
     )
     np.testing.assert_array_equal(loads_np, loads_k)
 
